@@ -1,6 +1,9 @@
 #include "io/json.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -181,9 +184,13 @@ void write_number(std::ostream& os, double d) {
     os << static_cast<long long>(d);
     return;
   }
-  std::ostringstream tmp;
-  tmp << std::setprecision(12) << d;
-  os << tmp.str();
+  // to_chars general format with a precision is printf "%.12g" in the C
+  // locale — the bytes `os << std::setprecision(12) << d` produced — without
+  // a stream per number. 12 significant digits fit in 32 chars.
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 12);
+  os.write(buf, res.ptr - buf);
 }
 
 void write_pad(std::ostream& os, int indent, int depth) {
@@ -439,7 +446,14 @@ class Parser {
         ++pos_;
       if (!digits()) fail("bad number: digits required in exponent");
     }
-    return std::stod(text_.substr(start, pos_ - start));
+    // strtod rather than stod: a finite underflow (a subnormal such as
+    // 4.94065645841e-324, which long distributions print) is a value, not
+    // an error. Only overflow to infinity is rejected.
+    const std::string token = text_.substr(start, pos_ - start);
+    errno = 0;
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (errno == ERANGE && std::isinf(value)) fail("number out of range");
+    return value;
   }
 
   const std::string& text_;

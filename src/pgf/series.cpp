@@ -55,11 +55,24 @@ Series Series::mul(const Series& a, const Series& b) {
   if (a.length() != b.length())
     throw std::invalid_argument("Series::mul: length mismatch");
   const std::size_t n = a.length();
+  // b's nonzero support [lo, hi). A skipped term is a_i * (+-0.0) = +-0.0
+  // for finite a_i, added to an accumulator that starts at +0.0 and so can
+  // never be -0.0 in round-to-nearest: every skipped addition is an
+  // identity, and the result is bit-identical to the dense loop. Sparse
+  // factors (det:m service, Uhat) then cost O(N * support) instead of
+  // O(N^2 / 2).
+  std::size_t lo = 0, hi = n;
+  while (hi > 0 && b.c_[hi - 1] == 0.0) --hi;
+  while (lo < hi && b.c_[lo] == 0.0) ++lo;
   Series out(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double ai = a.c_[i];
     if (ai == 0.0) continue;
-    for (std::size_t j = 0; i + j < n; ++j) out.c_[i + j] += ai * b.c_[j];
+    // A non-finite a_i turns the skipped zeros into NaN: keep them.
+    const bool finite = std::isfinite(ai);
+    const std::size_t first = finite ? lo : 0;
+    const std::size_t last = finite ? std::min(hi, n - i) : n - i;
+    for (std::size_t j = first; j < last; ++j) out.c_[i + j] += ai * b.c_[j];
   }
   return out;
 }

@@ -48,7 +48,10 @@ class Series {
   friend Series operator*(Series a, double s) { return a *= s; }
   friend Series operator*(double s, Series a) { return a *= s; }
 
-  /// Truncated product (Cauchy convolution), O(N^2).
+  /// Truncated product (Cauchy convolution), O(N^2) for dense operands;
+  /// the inner loop spans only b's nonzero support, so a factor with K
+  /// nonzeros between its first and last costs O(N*K). Bit-identical to
+  /// the dense loop.
   [[nodiscard]] static Series mul(const Series& a, const Series& b);
 
   /// Smallest |den[0]| divide() accepts. The long-division recurrence
@@ -64,7 +67,9 @@ class Series {
 
   /// Composition outer(inner(z)) where `outer` is a finite polynomial given
   /// by its coefficients. Evaluated by Horner's rule on series, so cost is
-  /// O(deg(outer) * N^2). No constraint on inner[0].
+  /// O(deg(outer) * N^2), or O(deg(outer) * N * K) when inner's nonzeros
+  /// span K terms (a deterministic service z^m: K = 1). No constraint on
+  /// inner[0].
   [[nodiscard]] static Series compose_polynomial(
       std::span<const double> outer, const Series& inner);
 

@@ -10,21 +10,38 @@ EvalCache::EvalCache(std::uint64_t capacity_bytes, std::size_t shards)
 
 std::optional<std::string> EvalCache::lookup(std::uint64_t hash,
                                              const std::string& key) {
+  return lookup_impl(hash, key, /*count_miss=*/true);
+}
+
+std::optional<std::string> EvalCache::find(std::uint64_t hash,
+                                           const std::string& key) {
+  return lookup_impl(hash, key, /*count_miss=*/false);
+}
+
+std::optional<std::string> EvalCache::lookup_impl(std::uint64_t hash,
+                                                  const std::string& key,
+                                                  bool count_miss) {
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (per_shard_ == 0) {
-    ++shard.misses;
-    return std::nullopt;
-  }
-  const auto it = shard.index.find(key);
+  const auto it =
+      per_shard_ == 0 ? shard.index.end() : shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
+    if (count_miss) ++shard.misses;
     return std::nullopt;
   }
   ++shard.hits;
   // Refresh recency: splice the entry to the front of the LRU list.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return it->second->value;
+}
+
+void EvalCache::record_hit(std::uint64_t hash, const std::string& key) {
+  Shard& shard = shard_for(hash);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  ++shard.hits;
+  const auto it = shard.index.find(key);
+  if (it != shard.index.end())
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
 }
 
 void EvalCache::insert(std::uint64_t hash, const std::string& key,

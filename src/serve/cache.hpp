@@ -54,6 +54,17 @@ class EvalCache {
   [[nodiscard]] std::optional<std::string> lookup(std::uint64_t hash,
                                                   const std::string& key);
 
+  /// lookup() that leaves a miss uncounted, for a caller that settles it
+  /// later: with a lookup() that misses again, or with record_hit() when
+  /// the value arrives another way. A hit is counted as in lookup().
+  [[nodiscard]] std::optional<std::string> find(std::uint64_t hash,
+                                                const std::string& key);
+
+  /// Count a hit whose value was obtained without a lookup (an in-batch
+  /// repeat answered from its first occurrence's bytes), refreshing the
+  /// entry's recency if it is held, as lookup() would have.
+  void record_hit(std::uint64_t hash, const std::string& key);
+
   /// Insert (hash, key) -> value, evicting LRU entries as needed. If the
   /// key is already present (a concurrent batch computed it twice) the
   /// existing entry is kept — both computations produced the same bytes.
@@ -83,6 +94,10 @@ class EvalCache {
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
   };
+
+  std::optional<std::string> lookup_impl(std::uint64_t hash,
+                                         const std::string& key,
+                                         bool count_miss);
 
   [[nodiscard]] Shard& shard_for(std::uint64_t hash) {
     return shards_[hash % shards_.size()];

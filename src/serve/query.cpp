@@ -38,14 +38,25 @@ unsigned read_unsigned(const io::Json& params, const std::string& key,
   return static_cast<unsigned>(v);
 }
 
+/// Subnormal parameters parse (io::Json accepts finite underflow) but
+/// are no model input: a rate of 1e-320 overflows 1/lambda. Reject them
+/// in-band instead of evaluating garbage.
+void check_normal(double v, const std::string& what) {
+  if (std::fpclassify(v) == FP_SUBNORMAL)
+    bad_request(what + ": subnormal numbers are not accepted");
+}
+
 double read_double(const io::Json& params, const std::string& key,
                    double fallback) {
   if (!params.contains(key)) return fallback;
+  double v = 0.0;
   try {
-    return params.at(key).as_double();
+    v = params.at(key).as_double();
   } catch (const std::invalid_argument&) {
     bad_request("params." + key + ": expected a number");
   }
+  check_normal(v, "params." + key);
+  return v;
 }
 
 std::string read_string(const io::Json& params, const std::string& key,
@@ -174,6 +185,7 @@ Query parse_query(Kernel kernel, const io::Json& params) {
           } catch (const std::invalid_argument&) {
             bad_request("params.quantiles: expected numbers");
           }
+          check_normal(v, "params.quantiles");
           if (!(v > 0.0 && v < 1.0))
             bad_request("params.quantiles: values must lie in (0, 1)");
           query.quantiles.push_back(v);
@@ -334,9 +346,11 @@ Request Request::parse(const std::string& line,
   req.arrival = std::chrono::steady_clock::now();
   req.deadline_ms = default_deadline_ms;
   io::Json doc;
+  // Any failure to read the line is the request's fault and answers
+  // in-band; nothing a client sends may end the serve loop.
   try {
     doc = io::Json::parse(line);
-  } catch (const std::invalid_argument& e) {
+  } catch (const std::exception& e) {
     req.error_kind = wire::kUsage;
     req.error_message = e.what();
     return req;
@@ -376,10 +390,7 @@ Request Request::parse(const std::string& line,
       // not turn the request immortal when the server set a default.
       if (ms > 0) req.deadline_ms = ms;
     }
-  } catch (const ksw::Error& e) {
-    req.error_kind = wire::kUsage;
-    req.error_message = e.what();
-  } catch (const std::invalid_argument& e) {
+  } catch (const std::exception& e) {
     req.error_kind = wire::kUsage;
     req.error_message = e.what();
   }

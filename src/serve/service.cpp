@@ -6,6 +6,8 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include <poll.h>
@@ -210,20 +212,22 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
     batch_span.label("requests", std::to_string(batch.size()));
   }
 
-  std::vector<std::string> responses(batch.size());
-  std::vector<bool> succeeded(batch.size(), false);
-  std::vector<AccessEntry> entries(observing ? batch.size() : 0);
-  std::vector<double> service_us(batch.size(), 0.0);
-  std::vector<double> queue_us(batch.size(), 0.0);
+  const std::size_t n = batch.size();
+  std::vector<std::string> responses(n);
+  // char, not bool: workers write neighbouring elements concurrently, and
+  // vector<bool> packs them into shared words.
+  std::vector<char> succeeded(n, 0);
+  std::vector<AccessEntry> entries(observing ? n : 0);
+  std::vector<double> service_us(n, 0.0);
+  std::vector<double> queue_us(n, 0.0);
+  std::vector<Clock::time_point> started(n);
+  std::vector<std::string> keys(n);
+  std::vector<std::uint64_t> hashes(n, 0);
+  std::vector<char> deferred(n, 0);
 
-  par::parallel_for(pool_, batch.size(), [&](std::size_t i) {
-    Request& req = batch[i];
-    if (observing && req.trace_id.empty())
-      req.trace_id = generate_trace_id();
-    const Clock::time_point start = Clock::now();
-    queue_us[i] =
-        std::chrono::duration<double, std::micro>(start - req.arrival)
-            .count();
+  // The serve.request span covers the step that answers the request, on
+  // the thread that answers it.
+  const auto open_span = [&](const Request& req) {
     obs::Span span;
     if (opts_.tracer != nullptr) {
       // Worker threads have no open parent; link the batch explicitly so
@@ -235,15 +239,41 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
       span.label("kernel",
                  req.valid() ? kernel_name(req.query.kernel) : "invalid");
     }
-    bool cached = false;
-    int shard = -1;
+    return span;
+  };
+  const auto shard_of = [&](std::size_t i) {
+    return static_cast<int>(hashes[i] % cache_.shard_count());
+  };
+  const auto finish = [&](std::size_t i, obs::Span& span, bool cached,
+                          const char* error_kind, int shard) {
+    const Request& req = batch[i];
+    service_us[i] = micros_since(started[i]);
+    if (span.active()) {
+      span.label("cached", cached ? "true" : "false");
+      if (!succeeded[i]) span.label("error", error_kind ? error_kind : "?");
+    }
+    if (observing) {
+      AccessEntry& entry = entries[i];
+      entry.trace_id = req.trace_id;
+      entry.id = req.id;
+      if (req.valid()) entry.kernel = kernel_name(req.query.kernel);
+      entry.ok = succeeded[i] != 0;
+      if (!succeeded[i])
+        entry.error_kind = req.valid() ? error_kind : req.error_kind;
+      entry.cached = cached;
+      entry.shard = shard;
+      entry.queue_us = queue_us[i];
+      entry.eval_us = service_us[i];
+      entry.deadline_ms = req.deadline_ms;
+    }
+  };
+
+  // Shutdown and expired deadlines refuse a request before it starts
+  // work, in whichever phase it would start: answers it and returns true.
+  const auto refused = [&](std::size_t i) {
+    const Request& req = batch[i];
     const char* error_kind = nullptr;
-    std::string error_message;
-    if (!req.valid()) {
-      error_kind = wire::kUsage;  // parse-time failure, kind preserved below
-      responses[i] = render_error(req.id, req.error_kind, req.error_message,
-                                  req.trace_id);
-    } else if (cancel != nullptr && cancel->requested()) {
+    if (cancel != nullptr && cancel->requested()) {
       error_kind = wire::kInterrupted;
       responses[i] = render_error(req.id, wire::kInterrupted,
                                   "service is shutting down", req.trace_id);
@@ -254,49 +284,115 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
           "deadline of " + std::to_string(req.deadline_ms) +
               " ms expired before evaluation",
           req.trace_id);
+    }
+    if (error_kind == nullptr) return false;
+    obs::Span span = open_span(req);
+    finish(i, span, false, error_kind, -1);
+    return true;
+  };
+
+  // Phase 1, every request in parallel: parse errors, shutdown, expired
+  // deadlines and cache hits are answered here. A miss is deferred, so an
+  // in-batch duplicate never races its first occurrence to evaluation.
+  par::parallel_for(pool_, n, [&](std::size_t i) {
+    Request& req = batch[i];
+    if (observing && req.trace_id.empty())
+      req.trace_id = generate_trace_id();
+    started[i] = Clock::now();
+    queue_us[i] =
+        std::chrono::duration<double, std::micro>(started[i] - req.arrival)
+            .count();
+    if (!req.valid()) {
+      obs::Span span = open_span(req);
+      responses[i] = render_error(req.id, req.error_kind, req.error_message,
+                                  req.trace_id);
+      // parse-time failure; finish() logs the request's own kind
+      finish(i, span, false, wire::kUsage, -1);
+    } else if (refused(i)) {
+      return;
     } else {
-      const std::string key = req.query.canonical();
-      const std::uint64_t hash = fnv1a64(key);
-      shard = static_cast<int>(hash % cache_.shard_count());
-      if (auto hit = cache_.lookup(hash, key)) {
-        hits_->inc();
-        cached = true;
-        responses[i] =
-            render_ok(req.id, req.query.kernel, true, *hit, req.trace_id);
-        succeeded[i] = true;
-      } else {
-        misses_->inc();
-        try {
-          std::string bytes = evaluate_bytes(req.query);
-          responses[i] = render_ok(req.id, req.query.kernel, false, bytes,
-                                   req.trace_id);
-          cache_.insert(hash, key, std::move(bytes));
-          succeeded[i] = true;
-        } catch (const std::exception& e) {
-          error_kind = wire_kind(e);
-          responses[i] =
-              render_error(req.id, error_kind, e.what(), req.trace_id);
+      keys[i] = req.query.canonical();
+      hashes[i] = fnv1a64(keys[i]);
+      std::optional<std::string> hit = cache_.find(hashes[i], keys[i]);
+      if (!hit) {
+        deferred[i] = 1;
+        return;
+      }
+      obs::Span span = open_span(req);
+      hits_->inc();
+      responses[i] =
+          render_ok(req.id, req.query.kernel, true, *hit, req.trace_id);
+      succeeded[i] = 1;
+      finish(i, span, true, nullptr, shard_of(i));
+    }
+  });
+
+  // Group the misses by canonical key, in batch order (docs/SERVING.md
+  // "Cache semantics"). With the cache off nothing is shared: each miss
+  // is a group of its own.
+  std::vector<std::vector<std::size_t>> groups;
+  {
+    std::unordered_map<std::string_view, std::size_t> group_of;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!deferred[i]) continue;
+      if (cache_.enabled()) {
+        const auto [it, fresh] = group_of.emplace(keys[i], groups.size());
+        if (!fresh) {
+          groups[it->second].push_back(i);
+          continue;
         }
       }
+      groups.push_back({i});
     }
-    service_us[i] = micros_since(start);
-    if (span.active()) {
-      span.label("cached", cached ? "true" : "false");
-      if (!succeeded[i]) span.label("error", error_kind ? error_kind : "?");
-    }
-    if (observing) {
-      AccessEntry& entry = entries[i];
-      entry.trace_id = req.trace_id;
-      entry.id = req.id;
-      if (req.valid()) entry.kernel = kernel_name(req.query.kernel);
-      entry.ok = succeeded[i];
-      if (!succeeded[i])
-        entry.error_kind = req.valid() ? error_kind : req.error_kind;
-      entry.cached = cached;
-      entry.shard = shard;
-      entry.queue_us = queue_us[i];
-      entry.eval_us = service_us[i];
-      entry.deadline_ms = req.deadline_ms;
+  }
+
+  // Phase 2, one task per key: members are served in batch order. The
+  // first evaluates; once one succeeds, every later member is answered
+  // from its bytes as a hit. A member after a failure evaluates on its
+  // own, as it would have alone.
+  par::parallel_for(pool_, groups.size(), [&](std::size_t g) {
+    const std::vector<std::size_t>& members = groups[g];
+    std::optional<std::string> shared;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const std::size_t i = members[m];
+      const Request& req = batch[i];
+      if (refused(i)) continue;
+      obs::Span span = open_span(req);
+      if (shared) {
+        cache_.record_hit(hashes[i], keys[i]);
+        hits_->inc();
+        responses[i] =
+            render_ok(req.id, req.query.kernel, true, *shared, req.trace_id);
+        succeeded[i] = 1;
+        finish(i, span, true, nullptr, shard_of(i));
+        continue;
+      }
+      // Counts the miss find() left open (and would serve a value a
+      // concurrent batch inserted meanwhile).
+      if (auto hit = cache_.lookup(hashes[i], keys[i])) {
+        hits_->inc();
+        responses[i] =
+            render_ok(req.id, req.query.kernel, true, *hit, req.trace_id);
+        succeeded[i] = 1;
+        shared = std::move(hit);
+        finish(i, span, true, nullptr, shard_of(i));
+        continue;
+      }
+      misses_->inc();
+      const char* error_kind = nullptr;
+      try {
+        std::string bytes = evaluate_bytes(req.query);
+        responses[i] =
+            render_ok(req.id, req.query.kernel, false, bytes, req.trace_id);
+        succeeded[i] = 1;
+        if (m + 1 < members.size()) shared = bytes;
+        cache_.insert(hashes[i], keys[i], std::move(bytes));
+      } catch (const std::exception& e) {
+        error_kind = wire_kind(e);
+        responses[i] =
+            render_error(req.id, error_kind, e.what(), req.trace_id);
+      }
+      finish(i, span, false, error_kind, shard_of(i));
     }
   });
 

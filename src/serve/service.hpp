@@ -61,7 +61,9 @@ class Service {
 
   /// Serve one batch: parse errors, deadline misses, cache hits, and
   /// fresh evaluations all become response lines appended to `out`
-  /// (newline-terminated, in input order).
+  /// (newline-terminated, in input order). Repeats of a tuple within the
+  /// batch evaluate once, at its first occurrence; the rest are hits, so
+  /// the bytes and counters do not depend on thread scheduling.
   void serve_batch(std::vector<Request> batch, std::string* out,
                    const par::CancelToken* cancel);
 

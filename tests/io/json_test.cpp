@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <random>
 
 namespace ksw::io {
 namespace {
@@ -34,6 +39,65 @@ TEST(Json, NonFiniteBecomesNull) {
             "null");
   EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).to_string(),
             "null");
+}
+
+/// The number rendering contract, written independently of the writer:
+/// null for non-finite values, integral magnitudes below 1e15 as
+/// integers, everything else printf "%.12g" (C locale).
+std::string reference_number(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[64];
+  if (d == std::floor(d) && std::abs(d) < 1e15)
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+  else
+    std::snprintf(buf, sizeof buf, "%.12g", d);
+  return buf;
+}
+
+TEST(JsonNumber, MatchesPrintfOnRandomBitPatterns) {
+  std::mt19937_64 rng(12);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-40, 40);
+  for (int i = 0; i < 200000; ++i) {
+    const double raw = std::bit_cast<double>(rng());
+    ASSERT_EQ(Json(raw).to_string(), reference_number(raw))
+        << std::hexfloat << raw;
+    // Probabilities and moments: the magnitudes responses actually carry.
+    const double typical = std::ldexp(unit(rng), exponent(rng));
+    ASSERT_EQ(Json(typical).to_string(), reference_number(typical))
+        << std::hexfloat << typical;
+  }
+}
+
+TEST(JsonNumber, EdgeCases) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Json(-0.0).to_string(), "0");
+  EXPECT_EQ(Json(1e15).to_string(), "1e+15");
+  EXPECT_EQ(Json(-1e15).to_string(), "-1e+15");
+  EXPECT_EQ(Json(999999999999999.0).to_string(), "999999999999999");
+  EXPECT_EQ(Json(std::numeric_limits<double>::denorm_min()).to_string(),
+            "4.94065645841e-324");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::denorm_min()).to_string(),
+            "-4.94065645841e-324");
+  EXPECT_EQ(Json(std::numeric_limits<double>::min()).to_string(),
+            "2.22507385851e-308");
+  EXPECT_EQ(Json(std::numeric_limits<double>::max()).to_string(),
+            "1.79769313486e+308");
+  EXPECT_EQ(Json(0.1).to_string(), "0.1");
+  EXPECT_EQ(Json(1.0 / 3.0).to_string(), "0.333333333333");
+  EXPECT_EQ(Json(1e-5).to_string(), "1e-05");
+  EXPECT_EQ(Json(123456.5).to_string(), "123456.5");
+  // Exact binary ties at the 12th digit round half to even, as printf.
+  EXPECT_EQ(Json(100000000000.5).to_string(), "100000000000");
+  EXPECT_EQ(Json(100000000001.5).to_string(), "100000000002");
+  EXPECT_EQ(Json(inf).to_string(), "null");
+  EXPECT_EQ(Json(-inf).to_string(), "null");
+  EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).to_string(),
+            "null");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::quiet_NaN()).to_string(),
+            "null");
+  for (const double d : {-0.0, 1e15, -1e15, 100000000000.5, 2.5e-310})
+    EXPECT_EQ(Json(d).to_string(), reference_number(d));
 }
 
 TEST(Json, ArraysAndObjects) {
@@ -158,6 +222,24 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse("1."), std::invalid_argument);
   EXPECT_THROW(Json::parse("\"unterminated"), std::invalid_argument);
   EXPECT_THROW(Json::parse("\"bad\\x\""), std::invalid_argument);
+}
+
+TEST(JsonParse, AcceptsFiniteUnderflow) {
+  // Long distributions print subnormal tails; the parser must read back
+  // what the writer emits.
+  EXPECT_EQ(Json::parse("4.94065645841e-324").as_double(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(Json::parse("[1e-320]").at(0).as_double(), 1e-320);
+  const double flushed = Json::parse("-1e-400").as_double();
+  EXPECT_EQ(flushed, 0.0);
+  EXPECT_TRUE(std::signbit(flushed));
+  const double tail = 2.5e-310;
+  EXPECT_NEAR(Json::parse(Json(tail).to_string()).as_double(), tail, 1e-321);
+}
+
+TEST(JsonParse, RejectsOverflowAsParseError) {
+  EXPECT_THROW(Json::parse("1e400"), std::invalid_argument);
+  EXPECT_THROW(Json::parse("[-1e999]"), std::invalid_argument);
 }
 
 TEST(JsonParse, RejectsDuplicateObjectKeys) {

@@ -81,6 +81,30 @@ TEST(EvalCache, LookupRefreshesRecency) {
   EXPECT_FALSE(cache.lookup(fnv1a64("b"), "b").has_value());
 }
 
+TEST(EvalCache, FindLeavesTheMissForTheCallerToSettle) {
+  EvalCache cache(1 << 20);
+  const std::uint64_t hash = fnv1a64("k");
+  EXPECT_FALSE(cache.find(hash, "k").has_value());
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_FALSE(cache.lookup(hash, "k").has_value());  // settles it
+  cache.insert(hash, "k", "v");
+  EXPECT_EQ(cache.find(hash, "k").value_or(""), "v");
+  cache.record_hit(hash, "k");
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+}
+
+TEST(EvalCache, RecordHitRefreshesRecency) {
+  EvalCache cache(2 * 80, /*shards=*/1);
+  cache.insert(fnv1a64("a"), "a", "1");
+  cache.insert(fnv1a64("b"), "b", "2");
+  cache.record_hit(fnv1a64("a"), "a");
+  cache.insert(fnv1a64("c"), "c", "3");
+  EXPECT_TRUE(cache.find(fnv1a64("a"), "a").has_value());
+  EXPECT_FALSE(cache.find(fnv1a64("b"), "b").has_value());
+}
+
 TEST(EvalCache, ZeroCapacityDisablesCaching) {
   EvalCache cache(0);
   cache.insert(fnv1a64("a"), "a", "1");

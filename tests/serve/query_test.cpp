@@ -82,6 +82,23 @@ TEST(QueryParse, OutOfDomainProbabilityIsUsage) {
   EXPECT_EQ(req.error_kind, wire::kUsage);
 }
 
+TEST(QueryParse, OutOfRangeNumbersAreUsage) {
+  // Subnormals parse as JSON but are no model input; overflow is a JSON
+  // error. Neither may escape Request::parse as an exception.
+  for (const char* line :
+       {R"({"kernel":"first_stage","params":{"p":1e-320}})",
+        R"({"kernel":"first_stage","params":{"q":-4.9e-324}})",
+        R"({"kernel":"total_delay","params":{"quantiles":[0.5,1e-310]}})",
+        R"({"kernel":"first_stage","params":{"p":1e999}})"}) {
+    const Request req = Request::parse(line);
+    EXPECT_EQ(req.error_kind, wire::kUsage) << line;
+  }
+  // An underflow to zero is just zero.
+  const Request zero =
+      Request::parse(R"({"kernel":"first_stage","params":{"q":1e-400}})");
+  EXPECT_TRUE(zero.valid()) << zero.error_message;
+}
+
 TEST(QueryParse, FavoriteOutputRequiresSquareSwitch) {
   const Request req = Request::parse(
       R"({"kernel":"first_stage","params":{"k":2,"s":4,"q":0.2}})");

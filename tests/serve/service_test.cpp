@@ -393,12 +393,132 @@ TEST(Service, MultiThreadedRepeatedTuplesStayBitIdentical) {
     else
       EXPECT_EQ(bytes, canonical[bucket]) << "tuple " << bucket;
   }
-  // Concurrent workers may miss the same tuple simultaneously inside the
-  // first batch, but the second batch (every tuple already cached) hits
-  // throughout — and duplicate inserts never changed the served bytes.
-  EXPECT_GE(service.cache().stats().misses, 4u);
-  EXPECT_GE(service.cache().stats().hits, 128u);
+  // In-batch dedup: each tuple's first occurrence is the only miss; every
+  // other request, in either batch, is a hit.
+  EXPECT_EQ(service.cache().stats().misses, 4u);
+  EXPECT_EQ(service.cache().stats().hits, 252u);
   EXPECT_EQ(service.cache().stats().entries, 4u);
+}
+
+/// Eight first_stage tuples with non-trivial distributions, each repeated
+/// eight times in a scrambled order and a second spelling of p, so every
+/// batch races its duplicates across the workers.
+std::string duplicated_batch_input() {
+  std::ostringstream in;
+  for (int i = 0; i < 64; ++i) {
+    const int tuple = (i * 5 + i / 8) % 8;
+    const double p = 0.02 * (tuple + 2);
+    in << R"({"kernel":"first_stage","id":)" << i << R"(,"params":{"p":)";
+    if (i % 2)
+      in << p;
+    else
+      in << p * 10 << "e-1";
+    in << R"(,"service":"det:)" << (tuple % 4 + 1)
+       << R"(","distribution":512}})" << "\n";
+  }
+  return in.str();
+}
+
+TEST(Service, InBatchDuplicatesAreDeterministic) {
+  const std::string input = duplicated_batch_input();
+  std::string reference;
+  for (int run = 0; run < 30; ++run) {
+    ServeOptions opts;
+    opts.threads = 8;
+    opts.batch = 64;
+    Service service(opts);
+    std::istringstream in(input);
+    std::ostringstream out;
+    service.run(in, out, nullptr);
+    if (run == 0) reference = out.str();
+    ASSERT_EQ(out.str(), reference) << "run " << run;
+    EXPECT_EQ(service.cache().stats().misses, 8u) << "run " << run;
+    EXPECT_EQ(service.cache().stats().hits, 56u) << "run " << run;
+    const io::Json counters =
+        service.report(false).at("metrics").at("counters");
+    EXPECT_EQ(counters.at("serve.cache.misses").as_int(), 8);
+    EXPECT_EQ(counters.at("serve.cache.hits").as_int(), 56);
+  }
+  // The first occurrence of each tuple in batch order evaluated; every
+  // later one says cached.
+  const auto lines = lines_of(reference);
+  ASSERT_EQ(lines.size(), 64u);
+  std::vector<bool> seen(8, false);
+  for (int i = 0; i < 64; ++i) {
+    const int tuple = (i * 5 + i / 8) % 8;
+    const io::Json doc = io::Json::parse(lines[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(doc.at("ok").as_bool()) << lines[static_cast<std::size_t>(i)];
+    EXPECT_EQ(doc.at("cached").as_bool(), seen[tuple]) << "request " << i;
+    seen[tuple] = true;
+  }
+}
+
+TEST(Service, InBatchDuplicatesAllEvaluateWithTheCacheOff) {
+  const std::string input = duplicated_batch_input();
+  ServeOptions opts;
+  opts.threads = 8;
+  opts.cache_mb = 0;
+  Service service(opts);
+  std::istringstream in(input);
+  std::ostringstream out;
+  service.run(in, out, nullptr);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 64u);
+  for (const std::string& line : lines)
+    EXPECT_FALSE(io::Json::parse(line).at("cached").as_bool()) << line;
+  EXPECT_EQ(service.cache().stats().misses, 64u);
+  EXPECT_EQ(service.cache().stats().hits, 0u);
+}
+
+TEST(Service, RepeatOfAFailedLeaderFailsTheSameWay) {
+  // rho >= 1: the leader's evaluation fails, nothing is cached, and each
+  // repeat evaluates (and fails) on its own, as it would alone.
+  ServeOptions opts;
+  opts.threads = 4;
+  Service service(opts);
+  std::istringstream in(
+      R"({"kernel":"first_stage","id":1,"params":{"p":1.0,"service":"det:2"}})"
+      "\n"
+      R"({"kernel":"first_stage","id":2,"params":{"p":1.0,"service":"det:2"}})"
+      "\n");
+  std::ostringstream out;
+  service.run(in, out, nullptr);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) {
+    const io::Json doc = io::Json::parse(line);
+    EXPECT_FALSE(doc.at("ok").as_bool());
+    EXPECT_EQ(doc.at("error").at("kind").as_string(), "numeric");
+  }
+  EXPECT_EQ(service.cache().stats().misses, 2u);
+  EXPECT_EQ(service.cache().stats().hits, 0u);
+}
+
+TEST(Service, SubnormalParameterIsAnInBandUsageError) {
+  // A subnormal p used to escape Request::parse as std::out_of_range and
+  // end the serve loop; it must answer in-band while the rest of the
+  // batch is served.
+  Service service(ServeOptions{});
+  std::istringstream in(
+      R"({"kernel":"first_stage","id":1})"
+      "\n"
+      R"({"kernel":"first_stage","id":2,"params":{"p":1e-320}})"
+      "\n"
+      R"({"kernel":"later_stages","id":3})"
+      "\n");
+  std::ostringstream out;
+  const ServeSummary summary = service.run(in, out, nullptr);
+  EXPECT_EQ(summary.responses, 3u);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_TRUE(io::Json::parse(lines[0]).at("ok").as_bool());
+  const io::Json bad = io::Json::parse(lines[1]);
+  EXPECT_FALSE(bad.at("ok").as_bool());
+  EXPECT_EQ(bad.at("id").as_int(), 2);
+  EXPECT_EQ(bad.at("error").at("kind").as_string(), "usage");
+  EXPECT_NE(bad.at("error").at("message").as_string().find("subnormal"),
+            std::string::npos);
+  EXPECT_TRUE(io::Json::parse(lines[2]).at("ok").as_bool());
 }
 
 }  // namespace
