@@ -27,8 +27,6 @@ commands:
              --topology=butterfly|omega --service=det:1 --cycles=50000
              --warmup=auto --seed=1 --replicates=1 --threads=0
              --buffer-capacity=0 --flow=vct|saf|credit --credit-latency=2
-             --rng=philox|xoshiro  (counter-based default; xoshiro keeps
-             the historic sequential streams; see docs/DESIGN.md §8)
              --simd=auto|off  (off forces the scalar oracle kernels;
              KSW_SIMD=off|scalar|avx2|auto is the env equivalent)
              --correlations --checkpoints=3,6,9,12

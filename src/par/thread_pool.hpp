@@ -3,7 +3,7 @@
 // The simulator uses `parallel_for` to run independent Monte-Carlo
 // replicates across cores. Determinism contract: the work function receives
 // the task index, each task derives its randomness from that index (via
-// rng::Xoshiro256::split), and results are merged in index order — so the
+// sim::replicate_seed), and results are merged in index order — so the
 // outcome is bit-identical for a fixed seed regardless of thread count.
 #pragma once
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "rng/xoshiro.hpp"
-
 namespace ksw::rng {
 
 Philox4x32::Key philox_key(std::uint64_t seed) noexcept {

@@ -2,8 +2,8 @@
 //
 // Philox4x32-10 (Salmon, Moraes, Dror, Shaw — "Parallel Random Numbers:
 // As Easy as 1, 2, 3", SC'11): a bijective keyed permutation of a 128-bit
-// counter producing four 32-bit words per block. Unlike the stateful
-// xoshiro streams, a draw is a pure function
+// counter producing four 32-bit words per block. Unlike a stateful
+// sequential generator, a draw is a pure function
 //
 //   (key, counter) -> 4 x uint32
 //
@@ -32,6 +32,24 @@
 #include <cstdint>
 
 namespace ksw::rng {
+
+/// SplitMix64 (Steele, Lea, Flood) — the seed scrambler behind philox_key
+/// and sim::replicate_seed: one step turns nearby seeds (1, 2, 3...) into
+/// unrelated 64-bit values.
+class SplitMix64 {
+ public:
+  explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
+
+  constexpr std::uint64_t next() noexcept {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  std::uint64_t state_;
+};
 
 /// The Philox4x32-10 block cipher. Stateless; everything is static.
 struct Philox4x32 {

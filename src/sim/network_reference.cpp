@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "rng/philox.hpp"
-#include "rng/xoshiro.hpp"
 #include "sim/network.hpp"
 #include "sim/network_detail.hpp"
 #include "sim/ring_queue.hpp"
@@ -40,11 +39,9 @@ NetworkResults run_network_reference(const NetworkConfig& cfg) {
   detail::validate_hotspot_target(cfg, ports);
   const unsigned n = cfg.stages;
 
-  // Counter-mode injections evaluate the scalar oracle port by port —
-  // the very definition the optimized engine's batched kernel must match.
-  const bool philox = cfg.rng == RngKind::kPhilox;
+  // Injections evaluate the scalar oracle port by port — the very
+  // definition the optimized engine's batched kernel must match.
   const simd::InjectParams inj = detail::make_inject_params(cfg, ports);
-  rng::Xoshiro256 gen(cfg.seed);
 
   // queues[s][a]: the output queue at butterfly node (stage s, address a).
   std::vector<std::vector<RingQueue<Packet>>> queues(
@@ -85,9 +82,10 @@ NetworkResults run_network_reference(const NetworkConfig& cfg) {
     flow.begin_cycle(t);
 
     // --- Injection at the first stage ------------------------------------
-    const auto inject_from = [&](std::uint32_t src, std::uint32_t dst,
-                                 auto&& sample_service) {
-      (void)src;
+    for (std::uint32_t src = 0; src < ports; ++src) {
+      const std::uint32_t dst = simd::inject_one(inj, t, src);
+      if (dst == simd::kNoArrival) continue;
+      rng::LaneSeq svc(inj.key, t, src, rng::Site::kService);
       const std::uint32_t addr0 = topo.entry_queue(src, dst);
       for (unsigned b = 0; b < cfg.bulk; ++b) {
         if (finite && queues[0][addr0].size() >= cfg.buffer_capacity) {
@@ -96,7 +94,7 @@ NetworkResults run_network_reference(const NetworkConfig& cfg) {
         }
         Packet pkt;
         pkt.dst = dst;
-        pkt.service = sample_service();
+        pkt.service = cfg.service.sample(svc);
         pkt.arrival = t;
         pkt.born = t;
         queues[0][addr0].push(pkt);
@@ -104,27 +102,6 @@ NetworkResults run_network_reference(const NetworkConfig& cfg) {
           ob.tally[0].peak =
               std::max(ob.tally[0].peak, queues[0][addr0].size());
         if (t >= cfg.warmup_cycles) ++out.packets_injected;
-      }
-    };
-
-    if (philox) {
-      for (std::uint32_t src = 0; src < ports; ++src) {
-        const std::uint32_t dst = simd::inject_one(inj, t, src);
-        if (dst == simd::kNoArrival) continue;
-        rng::LaneSeq svc(inj.key, t, src, rng::Site::kService);
-        inject_from(src, dst, [&] { return cfg.service.sample(svc); });
-      }
-    } else {
-      for (std::uint32_t src = 0; src < ports; ++src) {
-        if (!gen.bernoulli(cfg.p)) continue;
-        std::uint32_t dst;
-        if (cfg.hotspot > 0.0 && gen.bernoulli(cfg.hotspot))
-          dst = cfg.hotspot_target;
-        else if (cfg.q > 0.0 && gen.bernoulli(cfg.q))
-          dst = src;
-        else
-          dst = static_cast<std::uint32_t>(gen.uniform_int(ports));
-        inject_from(src, dst, [&] { return cfg.service.sample(gen); });
       }
     }
 

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "rng/xoshiro.hpp"
+#include "rng/philox.hpp"
 
 namespace ksw::sim {
 

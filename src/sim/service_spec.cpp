@@ -65,26 +65,6 @@ std::uint32_t ServiceSpec::sample(rng::LaneSeq& seq) const {
   return 1;
 }
 
-std::uint32_t ServiceSpec::sample(rng::Xoshiro256& gen) const {
-  switch (kind_) {
-    case Kind::kDeterministic:
-      return m_;
-    case Kind::kMultiSize: {
-      const double u = gen.uniform();
-      for (std::size_t i = 0; i < cumulative_.size(); ++i)
-        if (u < cumulative_[i]) return sizes_[i].cycles;
-      return sizes_.back().cycles;
-    }
-    case Kind::kGeometric: {
-      const std::uint64_t v = gen.geometric(mu_);
-      // Clamp pathological tail draws so they fit the packet field.
-      return static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(v, std::numeric_limits<std::uint32_t>::max()));
-    }
-  }
-  return 1;
-}
-
 double ServiceSpec::mean() const {
   switch (kind_) {
     case Kind::kDeterministic:

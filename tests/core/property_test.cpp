@@ -6,13 +6,23 @@
 
 #include <cmath>
 #include <memory>
+#include <random>
 
 #include "core/closed_forms.hpp"
 #include "core/first_stage.hpp"
-#include "rng/xoshiro.hpp"
 
 namespace ksw::core {
 namespace {
+
+// Uniform double in [0, 1).
+double uniform(std::mt19937_64& gen) {
+  return std::uniform_real_distribution<double>(0.0, 1.0)(gen);
+}
+
+// Uniform integer in [0, n).
+std::uint64_t uniform_int(std::mt19937_64& gen, std::uint64_t n) {
+  return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(gen);
+}
 
 struct RandomQueue {
   QueueSpec spec;
@@ -26,21 +36,21 @@ struct RandomQueue {
 // probabilities and batch sizes, and a random service distribution,
 // rescaled so rho stays below 0.9.
 RandomQueue make_random_queue(std::uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
+  std::mt19937_64 gen(seed);
 
-  const auto k = static_cast<unsigned>(1 + gen.uniform_int(6));
+  const auto k = static_cast<unsigned>(1 + uniform_int(gen, 6));
   std::vector<IndependentInputArrivals::Input> inputs;
   for (unsigned i = 0; i < k; ++i)
-    inputs.push_back({0.02 + 0.3 * gen.uniform(),
-                      static_cast<std::uint32_t>(1 + gen.uniform_int(3))});
+    inputs.push_back({0.02 + 0.3 * uniform(gen),
+                      static_cast<std::uint32_t>(1 + uniform_int(gen, 3))});
 
   // Random multi-size service on 1-3 sizes.
-  const auto n_sizes = static_cast<unsigned>(1 + gen.uniform_int(3));
+  const auto n_sizes = static_cast<unsigned>(1 + uniform_int(gen, 3));
   std::vector<MultiSizeService::Size> sizes;
   double total = 0.0;
   for (unsigned i = 0; i < n_sizes; ++i) {
-    const double wgt = 0.1 + gen.uniform();
-    sizes.push_back({static_cast<std::uint32_t>(1 + gen.uniform_int(4)),
+    const double wgt = 0.1 + uniform(gen);
+    sizes.push_back({static_cast<std::uint32_t>(1 + uniform_int(gen, 4)),
                      wgt});
     total += wgt;
   }

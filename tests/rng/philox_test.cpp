@@ -13,6 +13,20 @@ namespace {
 using Counter = Philox4x32::Counter;
 using Key = Philox4x32::Key;
 
+TEST(SplitMix64, KnownAnswerSequence) {
+  // Reference values for seed 1234567 from the public-domain SplitMix64
+  // reference implementation.
+  SplitMix64 sm(1234567);
+  EXPECT_EQ(sm.next(), 6457827717110365317ULL);
+  EXPECT_EQ(sm.next(), 3203168211198807973ULL);
+  EXPECT_EQ(sm.next(), 9817491932198370423ULL);
+}
+
+TEST(SplitMix64, ZeroSeedIsFine) {
+  SplitMix64 sm(0);
+  EXPECT_NE(sm.next(), 0ULL);
+}
+
 // ---- Known-answer tests ----------------------------------------------
 // Published Philox4x32-10 vectors (Random123 distribution, kat_vectors):
 // any deviation means this is not Philox and every downstream stream

@@ -4,10 +4,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
-#include "rng/xoshiro.hpp"
 #include "sim/active_set.hpp"
 #include "sim/queue_pool.hpp"
 
@@ -54,10 +54,12 @@ TEST(QueuePool, ManyQueuesInterleavedMatchDeque) {
   constexpr std::size_t kQueues = 17;
   QueuePool<std::uint32_t> pool(kQueues);
   std::vector<std::deque<std::uint32_t>> ref(kQueues);
-  rng::Xoshiro256 gen(7);
+  std::mt19937_64 gen(7);
+  std::uniform_int_distribution<std::size_t> pick(0, kQueues - 1);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (std::uint32_t step = 0; step < 20'000; ++step) {
-    const auto q = static_cast<std::size_t>(gen.uniform_int(kQueues));
-    if (gen.uniform() < 0.55 || ref[q].empty()) {
+    const std::size_t q = pick(gen);
+    if (unit(gen) < 0.55 || ref[q].empty()) {
       pool.push(q, step);
       ref[q].push_back(step);
     } else {

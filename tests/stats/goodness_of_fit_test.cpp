@@ -3,21 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#include "rng/xoshiro.hpp"
+#include <random>
 
 namespace ksw::stats {
 namespace {
 
+// Uniform double in [0, 1).
+double uniform(std::mt19937_64& gen) {
+  return std::uniform_real_distribution<double>(0.0, 1.0)(gen);
+}
+
 // Histogram sampled from a discretized gamma itself: all distances small.
 IntHistogram sample_from_gamma(const GammaDistribution& g, int n,
                                std::uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
+  std::mt19937_64 gen(seed);
   IntHistogram h;
   for (int i = 0; i < n; ++i) {
     // Inverse-CDF sampling, rounded to nearest integer (the discretization
     // the goodness-of-fit statistics assume).
-    double u = gen.uniform();
+    double u = uniform(gen);
     if (u <= 0.0) u = 1e-12;
     if (u >= 1.0) u = 1.0 - 1e-12;
     h.add(static_cast<std::int64_t>(std::llround(g.quantile(u))));
@@ -70,10 +74,10 @@ TEST(BinnedTotalVariation, WidthOneMatchesUnbinned) {
 TEST(BinnedTotalVariation, BinningForgivesLatticeData) {
   // Data only on even integers: per-integer TV is ~0.5, width-2 TV small.
   const auto g = GammaDistribution::from_moments(20.0, 25.0);
-  rng::Xoshiro256 gen(12);
+  std::mt19937_64 gen(12);
   IntHistogram h;
   for (int i = 0; i < 50000; ++i) {
-    double u = gen.uniform();
+    double u = uniform(gen);
     if (u <= 0.0) u = 1e-12;
     const auto v = static_cast<std::int64_t>(std::llround(g.quantile(u)));
     h.add(2 * ((v + 1) / 2));  // round to even lattice
