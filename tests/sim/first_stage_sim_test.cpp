@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "core/closed_forms.hpp"
 #include "core/first_stage.hpp"
@@ -27,6 +29,19 @@ TEST(FirstStageSim, DeterministicForFixedSeed) {
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_DOUBLE_EQ(a.waiting.mean(), b.waiting.mean());
   EXPECT_DOUBLE_EQ(a.waiting.variance(), b.waiting.variance());
+}
+
+TEST(FirstStageSim, RejectsInvalidCycleCounts) {
+  const auto rejected = [](std::int64_t warmup, std::int64_t measure) {
+    FirstStageConfig cfg;
+    cfg.warmup_cycles = warmup;
+    cfg.measure_cycles = measure;
+    EXPECT_THROW((void)run_first_stage(cfg), std::invalid_argument);
+  };
+  rejected(-1, 100);
+  rejected(50, 0);
+  rejected(50, -100);
+  rejected(std::numeric_limits<std::int64_t>::max(), 1);
 }
 
 TEST(FirstStageSim, ZeroLoadMeansNoMessages) {

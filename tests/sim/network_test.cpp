@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -62,6 +63,28 @@ TEST(NetworkSim, LaterStagesConvergeToPaperLimit) {
   EXPECT_GT(r.stage_wait[3].mean(), r.stage_wait[0].mean());
   EXPECT_NEAR(r.stage_wait[7].mean(), 0.30, 0.01);
   EXPECT_NEAR(r.stage_wait[7].variance(), 0.343, 0.02);
+}
+
+TEST(NetworkSim, RejectsInvalidCycleCounts) {
+  // Both engines share the validation: a negative warmup, an empty
+  // measurement window or an overflowing total never reaches a cycle loop.
+  const auto rejected = [](std::int64_t warmup, std::int64_t measure) {
+    NetworkConfig cfg = small_config();
+    cfg.warmup_cycles = warmup;
+    cfg.measure_cycles = measure;
+    EXPECT_THROW((void)run_network(cfg), std::invalid_argument);
+    EXPECT_THROW((void)run_network_reference(cfg), std::invalid_argument);
+  };
+  rejected(-1, 100);
+  rejected(50, 0);
+  rejected(50, -100);
+  rejected(std::numeric_limits<std::int64_t>::max(), 1);
+  rejected(1, std::numeric_limits<std::int64_t>::max());
+
+  NetworkConfig ok = small_config();
+  ok.warmup_cycles = 0;
+  ok.measure_cycles = 1;
+  EXPECT_NO_THROW((void)run_network(ok));
 }
 
 TEST(NetworkSim, ZeroLoadProducesNothing) {
