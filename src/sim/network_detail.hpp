@@ -21,6 +21,11 @@ namespace ksw::sim::detail {
 /// Reject invalid configs (everything checkable without the topology).
 void validate(const NetworkConfig& cfg);
 
+/// Reject warmup < 0, measure <= 0 and a warmup + measure that overflows;
+/// `who` prefixes the message. Shared with run_first_stage.
+void validate_cycles(const char* who, std::int64_t warmup,
+                     std::int64_t measure);
+
 /// Build the counter-mode injection parameters for a replicate. Shared by
 /// both engines so the thresholds (and therefore the sampled bits) cannot
 /// drift between them. The tiny-probability edge is intentional: a rate
