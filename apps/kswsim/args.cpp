@@ -85,6 +85,15 @@ unsigned ArgMap::get_unsigned(const std::string& key,
   return static_cast<unsigned>(v);
 }
 
+std::int64_t ArgMap::get_count(const std::string& key,
+                               std::int64_t fallback) const {
+  const std::int64_t v = get_int(key, fallback);
+  if (v < 0)
+    throw usage_error("--" + key + ": must be non-negative (got " +
+                      std::to_string(v) + ")");
+  return v;
+}
+
 bool ArgMap::get_flag(const std::string& key) const {
   const std::string v = get(key, "false");
   if (v == "true" || v == "1" || v == "yes") return true;

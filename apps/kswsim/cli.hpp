@@ -41,6 +41,9 @@ class ArgMap {
                                      std::int64_t fallback) const;
   [[nodiscard]] unsigned get_unsigned(const std::string& key,
                                       unsigned fallback) const;
+  /// Non-negative integer; a negative value is a usage error.
+  [[nodiscard]] std::int64_t get_count(const std::string& key,
+                                       std::int64_t fallback) const;
   [[nodiscard]] bool get_flag(const std::string& key) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -1,6 +1,6 @@
 // kswsim fleet — sharded ksw.query/v1 serve fleet behind one TCP port.
 //
-//   kswsim fleet [--workers=N] [--tcp=HOST:PORT|PORT] [--socket-dir=DIR]
+//   kswsim fleet [--workers=N] [--tcp=HOST:PORT|PORT]
 //                [--queue-depth=D] [--deadline-ms=MS]
 //                [--threads=T] [--batch=B] [--cache-mb=MB]
 //                [--metrics-out=FILE|-] [--metrics-interval-ms=MS]
@@ -8,30 +8,23 @@
 //                [--worker-binary=PATH]
 //
 // One supervisor process accepts any number of concurrent TCP clients,
-// spawns N `kswsim serve --listen=<unix socket>` worker processes, and
-// routes each request to a worker by the FNV-1a hash of its canonical
+// spawns N `kswsim serve` worker processes on socketpairs (stdin mode),
+// and routes each request to a worker by the FNV-1a hash of its canonical
 // cache key — so a repeated query always lands on the same worker's warm
 // cache and fleet responses are bit-identical to single-process serve.
-// `kswsim serve --fleet=N` is an alias. The per-worker queue is bounded
-// (--queue-depth); excess load is shed in-band with error.kind
-// "overload". Dead workers are restarted; a crash-looping worker takes
-// the fleet down with exit 8. See docs/OPERATIONS.md for the operator's
-// handbook and docs/SERVING.md for the protocol addendum.
+// The per-worker queue is bounded (--queue-depth); excess load is shed
+// in-band with error.kind "overload". Dead workers are restarted; a
+// crash-looping worker takes the fleet down with exit 8. See
+// docs/OPERATIONS.md for the operator's handbook and docs/SERVING.md for
+// the protocol addendum.
 //
 // --threads/--batch/--cache-mb/--deadline-ms are forwarded to every
 // worker unchanged, so per-worker tuning is the same as single-process
 // tuning. --access-log and --trace-out observe the *supervisor* hop
 // (routing, queueing, relay); workers keep their own telemetry flags.
-#include <cerrno>
-#include <csignal>
-#include <cstring>
-#include <iostream>
 #include <optional>
 #include <ostream>
 #include <string>
-
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "fleet/supervisor.hpp"
 #include "io/atomic.hpp"
@@ -46,15 +39,6 @@
 namespace ksw::cli {
 
 namespace {
-
-std::int64_t get_count_fleet(const ArgMap& args, const std::string& key,
-                             std::int64_t fallback) {
-  const std::int64_t v = args.get_int(key, fallback);
-  if (v < 0)
-    throw usage_error("--" + key + ": must be non-negative (got " +
-                      std::to_string(v) + ")");
-  return v;
-}
 
 /// Parse --tcp=HOST:PORT or --tcp=PORT (host defaults to 127.0.0.1;
 /// port 0 asks the kernel for an ephemeral port, announced on stderr).
@@ -79,44 +63,27 @@ void parse_tcp(const std::string& text, std::string* host, int* port) {
   }
 }
 
-void write_fleet_report(const std::string& path, const io::Json& report,
-                        std::ostream& out) {
-  const std::string body = report.to_string(2) + "\n";
-  if (path == "-")
-    out << body;
-  else
-    io::atomic_write_file(path, body);
-}
-
 }  // namespace
 
 int cmd_fleet(const ArgMap& args, std::ostream& out, std::ostream& err) {
   fleet::FleetOptions opts;
-  // `serve --fleet=N` spells the worker count via --fleet; `fleet`
-  // proper uses --workers. --workers wins when both are given.
-  const std::int64_t fleet_alias = get_count_fleet(args, "fleet", 4);
-  opts.workers =
-      static_cast<std::size_t>(get_count_fleet(args, "workers", fleet_alias));
-  if (opts.workers == 0)
-    throw usage_error("--workers: must be at least 1");
+  // --workers=0 and --queue-depth=0 are rejected by the Supervisor.
+  opts.workers = static_cast<std::size_t>(args.get_count("workers", 4));
   parse_tcp(args.get("tcp", "127.0.0.1:0"), &opts.host, &opts.port);
   opts.queue_depth =
-      static_cast<std::size_t>(get_count_fleet(args, "queue-depth", 128));
-  if (opts.queue_depth == 0)
-    throw usage_error("--queue-depth: must be at least 1");
-  opts.deadline_ms = get_count_fleet(args, "deadline-ms", 0);
-  opts.socket_dir = args.get("socket-dir", "");
+      static_cast<std::size_t>(args.get_count("queue-depth", 128));
+  opts.deadline_ms = args.get_count("deadline-ms", 0);
   opts.worker_binary = args.get("worker-binary", "");
   opts.access_log = args.get("access-log", "");
   const std::string metrics_out = args.get("metrics-out", "");
   const std::int64_t metrics_interval =
-      get_count_fleet(args, "metrics-interval-ms", 0);
+      args.get_count("metrics-interval-ms", 0);
   const std::string trace_out = args.get("trace-out", "");
 
   // Worker pass-through: same names, same defaults as `kswsim serve`.
-  const std::int64_t threads = get_count_fleet(args, "threads", 0);
-  const std::int64_t batch = get_count_fleet(args, "batch", 64);
-  const std::int64_t cache_mb = get_count_fleet(args, "cache-mb", 64);
+  const std::int64_t threads = args.get_count("threads", 0);
+  const std::int64_t batch = args.get_count("batch", 64);
+  const std::int64_t cache_mb = args.get_count("cache-mb", 64);
   if (batch == 0) throw usage_error("--batch: must be at least 1");
   opts.worker_args = {"--threads=" + std::to_string(threads),
                       "--batch=" + std::to_string(batch),
@@ -135,29 +102,11 @@ int cmd_fleet(const ArgMap& args, std::ostream& out, std::ostream& err) {
         "--metrics-interval-ms: requires --metrics-out=FILE to write the "
         "periodic snapshots to");
 
-  // Default socket dir: a fresh per-process directory under TMPDIR, so
-  // two fleets on one host never collide. An explicit --socket-dir is
-  // the operator's responsibility (docs/OPERATIONS.md "Socket layout").
-  bool made_socket_dir = false;
-  if (opts.socket_dir.empty()) {
-    const char* tmp = ::getenv("TMPDIR");
-    std::string pattern = std::string(tmp != nullptr ? tmp : "/tmp") +
-                          "/kswsim-fleet-XXXXXX";
-    std::vector<char> buf(pattern.begin(), pattern.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr)
-      throw io_error(std::string("fleet: mkdtemp failed: ") +
-                     std::strerror(errno));
-    opts.socket_dir = buf.data();
-    made_socket_dir = true;
-  }
-
   obs::Tracer tracer;
   if (!trace_out.empty()) opts.tracer = &tracer;
-  const std::string socket_dir = opts.socket_dir;
 
   fleet::FleetSummary summary;
-  io::Json final_report;
+  std::string final_report;
   {
     fleet::Supervisor supervisor(std::move(opts));
     supervisor.start(err);
@@ -172,13 +121,12 @@ int cmd_fleet(const ArgMap& args, std::ostream& out, std::ostream& err) {
             metrics_out, metrics_interval, err, "fleet");
       summary = supervisor.run(cancel, err);
     }
-    final_report = supervisor.report();
+    final_report = supervisor.report().to_string(2) + "\n";
   }
-  if (made_socket_dir) ::rmdir(socket_dir.c_str());
 
   // Snapshots are written on every path — including interrupted — so an
   // operator who SIGTERMs the fleet still gets its final counters.
-  if (!metrics_out.empty()) write_fleet_report(metrics_out, final_report, out);
+  if (!metrics_out.empty()) write_snapshot(metrics_out, final_report, out);
   if (!trace_out.empty())
     io::atomic_write_file(
         trace_out,

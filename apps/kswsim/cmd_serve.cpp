@@ -27,7 +27,6 @@
 #include <iostream>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <unistd.h>
 
 #include "io/atomic.hpp"
@@ -42,46 +41,17 @@
 
 namespace ksw::cli {
 
-namespace {
-
-/// Non-negative integer flag, rejected with a usage error otherwise.
-std::int64_t get_count(const ArgMap& args, const std::string& key,
-                       std::int64_t fallback) {
-  const std::int64_t v = args.get_int(key, fallback);
-  if (v < 0)
-    throw usage_error("--" + key + ": must be non-negative (got " +
-                      std::to_string(v) + ")");
-  return v;
-}
-
-void write_report(const std::string& path, const io::Json& report,
-                  std::ostream& out) {
-  std::ostringstream body;
-  report.write(body, 2);
-  body << '\n';
-  if (path == "-")
-    out << body.str();
-  else
-    io::atomic_write_file(path, body.str());
-}
-
-}  // namespace
-
 int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream& err) {
-  // `serve --fleet=N` is sugar for `fleet --workers=N` (docs/SERVING.md
-  // "Fleet protocol addendum"): one entry point, two process models.
-  if (args.has("fleet")) return cmd_fleet(args, out, err);
-
   serve::ServeOptions opts;
-  opts.threads = static_cast<std::size_t>(get_count(args, "threads", 0));
-  opts.batch = static_cast<std::size_t>(get_count(args, "batch", 64));
-  opts.cache_mb = static_cast<std::uint64_t>(get_count(args, "cache-mb", 64));
-  opts.deadline_ms = get_count(args, "deadline-ms", 0);
+  opts.threads = static_cast<std::size_t>(args.get_count("threads", 0));
+  opts.batch = static_cast<std::size_t>(args.get_count("batch", 64));
+  opts.cache_mb = static_cast<std::uint64_t>(args.get_count("cache-mb", 64));
+  opts.deadline_ms = args.get_count("deadline-ms", 0);
   if (opts.batch == 0) throw usage_error("--batch: must be at least 1");
   const std::string listen = args.get("listen", "");
   const std::string metrics_out = args.get("metrics-out", "");
   const std::int64_t metrics_interval =
-      get_count(args, "metrics-interval-ms", 0);
+      args.get_count("metrics-interval-ms", 0);
   opts.access_log = args.get("access-log", "");
   const std::string trace_out = args.get("trace-out", "");
 
@@ -132,7 +102,7 @@ int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream& err) {
   // operator who SIGTERMs the service still gets its final counters and
   // the trace of everything served so far.
   if (!metrics_out.empty())
-    write_report(metrics_out, service.report(), out);
+    write_snapshot(metrics_out, service.report().to_string(2) + "\n", out);
   if (!trace_out.empty())
     io::atomic_write_file(
         trace_out,

@@ -62,4 +62,13 @@ class MetricsTicker {
   std::thread thread_;
 };
 
+/// Final snapshot on shutdown: atomically to `path`, or to `out` for "-".
+inline void write_snapshot(const std::string& path, const std::string& body,
+                           std::ostream& out) {
+  if (path == "-")
+    out << body;
+  else
+    io::atomic_write_file(path, body);
+}
+
 }  // namespace ksw::cli

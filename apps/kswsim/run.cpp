@@ -55,16 +55,16 @@ commands:
               trace_id, cache hit/miss, and queue/eval timing; see
               docs/SERVING.md)
   fleet      sharded serve fleet: one TCP front end over N serve workers
-             --workers=4 --tcp=HOST:PORT|PORT --socket-dir=DIR
-             --queue-depth=128 --deadline-ms=0 --threads=0 --batch=64
-             --cache-mb=64 --metrics-out=FILE|- --metrics-interval-ms=0
+             --workers=4 --tcp=HOST:PORT|PORT --queue-depth=128
+             --deadline-ms=0 --threads=0 --batch=64 --cache-mb=64
+             --metrics-out=FILE|- --metrics-interval-ms=0
              --access-log=FILE --trace-out=FILE --worker-binary=PATH
              (accepts concurrent TCP clients, routes each request to a
               worker by its canonical cache key so responses stay
               bit-identical to single-process serve; bounded per-worker
               queues shed excess load in-band with error.kind
-              "overload"; dead workers restart automatically; `kswsim
-              serve --fleet=N` is an alias; see docs/OPERATIONS.md)
+              "overload"; dead workers restart automatically; see
+              docs/OPERATIONS.md)
   trace      summarize / export ksw.trace/v1 span streams
              trace summarize --in=FILE --format=table|json|csv
              trace export --chrome --in=FILE --out=FILE|-

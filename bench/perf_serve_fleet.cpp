@@ -5,7 +5,7 @@
 //                    [--queue-depth=D] [--brownout-seconds=S] [--quick]
 //                    [--out=FILE] [--no-gate] [--kswsim=PATH]
 //
-// Three phases:
+// Four phases:
 //   1. baseline  — the perf_serve cached workload through an in-process
 //                  serve::Service (same tuples), for a comparable
 //                  single-process queries/sec figure.
@@ -18,6 +18,10 @@
 //                  collapse: every request answered, some answered with
 //                  error.kind "overload", and the p99 latency of the
 //                  *served* requests stays bounded.
+//   4. verdict   — the capacity closed loop against single-process
+//                  `kswsim serve --listen` over one Unix-socket
+//                  connection: the simpler deployment the fleet must
+//                  beat to earn its keep (recorded, not gated).
 //
 // Gates are locally scaled (ISSUE: CI machines range from 1 to many
 // cores): scale = min(workers, hardware threads). With scale >= 2 the
@@ -32,6 +36,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <sstream>
@@ -45,6 +50,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -163,6 +169,62 @@ class FleetProc {
   int err_fd_ = -1;
   int port_ = 0;
   std::string err_buf_;
+};
+
+/// A `kswsim serve --listen=SOCKET` child in a private directory under
+/// TMPDIR, with its stderr discarded.
+class ServeProc {
+ public:
+  /// Spawn and connect one client; returns the connected fd or -1.
+  int start(const std::string& kswsim) {
+    const char* tmp = std::getenv("TMPDIR");
+    dir_ = std::string(tmp != nullptr ? tmp : "/tmp") +
+           "/perf-serve-fleet-XXXXXX";
+    if (::mkdtemp(dir_.data()) == nullptr) {
+      dir_.clear();
+      return -1;
+    }
+    const std::string listen = "--listen=" + dir_ + "/serve.sock";
+    pid_ = ::fork();
+    if (pid_ < 0) return -1;
+    if (pid_ == 0) {
+      const int devnull = ::open("/dev/null", O_WRONLY);
+      if (devnull >= 0) ::dup2(devnull, STDERR_FILENO);
+      ::execl(kswsim.c_str(), kswsim.c_str(), "serve", listen.c_str(),
+              static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s/serve.sock",
+                  dir_.c_str());
+    const auto deadline = Clock::now() + std::chrono::seconds(30);
+    while (Clock::now() < deadline) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd < 0) return -1;
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr) == 0)
+        return fd;
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return -1;
+  }
+
+  ~ServeProc() {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGTERM);
+      ::waitpid(pid_, nullptr, 0);
+    }
+    if (!dir_.empty()) {
+      ::unlink((dir_ + "/serve.sock").c_str());
+      ::rmdir(dir_.c_str());
+    }
+  }
+
+ private:
+  pid_t pid_ = -1;
+  std::string dir_;
 };
 
 bool write_all(int fd, const char* data, std::size_t size) {
@@ -438,6 +500,27 @@ int main(int argc, char** argv) {
       brownout(bfd, brownout_qps, opt.brownout_seconds, opt.tuples, &br);
   ::close(bfd);
 
+  // Phase 4: the same closed loop against single-process serve on one
+  // Unix-socket connection (cold pass, then the measured warm pass).
+  double serve_socket_qps = 0.0;
+  {
+    ServeProc serve;
+    const int sfd = serve.start(opt.kswsim);
+    std::vector<std::string> serve_responses;
+    const double cold =
+        sfd < 0 ? -1.0
+                : closed_loop(sfd, request_lines, window, &serve_responses);
+    const double serve_wall =
+        cold < 0 ? -1.0
+                 : closed_loop(sfd, request_lines, window, &serve_responses);
+    if (sfd >= 0) ::close(sfd);
+    if (serve_wall < 0) {
+      std::fprintf(stderr, "perf_serve_fleet: serve --listen run failed\n");
+      return 5;
+    }
+    serve_socket_qps = static_cast<double>(opt.requests) / serve_wall;
+  }
+
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t scale =
       std::min<std::size_t>(opt.workers, static_cast<std::size_t>(hw));
@@ -455,6 +538,8 @@ int main(int argc, char** argv) {
               fleet_qps, fleet_qps / baseline_qps, floor_qps);
   std::printf("  bit-identity           %zu mismatched of %zu responses\n",
               mismatches, opt.requests);
+  std::printf("  serve on a Unix socket %.3e queries/sec  (fleet %.2fx)\n",
+              serve_socket_qps, fleet_qps / serve_socket_qps);
   std::printf("brownout at 2x capacity (%.3e qps offered for %.1f s):\n",
               brownout_qps, opt.brownout_seconds);
   std::printf("  offered %zu  answered %zu  ok %zu  overload %zu  other "
@@ -474,6 +559,8 @@ int main(int argc, char** argv) {
   j.set("qps_single_cached", baseline_qps);
   j.set("qps_fleet_cached", fleet_qps);
   j.set("fleet_vs_single", fleet_qps / baseline_qps);
+  j.set("qps_serve_socket_cached", serve_socket_qps);
+  j.set("fleet_vs_serve_socket", fleet_qps / serve_socket_qps);
   j.set("gate_floor_qps", floor_qps);
   j.set("bit_identical", mismatches == 0);
   j.set("mismatches", static_cast<std::uint64_t>(mismatches));

@@ -3,7 +3,8 @@
 # up with its workers, serve multiple concurrent TCP clients in per-
 # connection request order, advance the cache on repeated tuples (same
 # canonical key -> same worker -> same shard cache), reject unknown flags
-# with exit 2, and drain cleanly to exit 130 on SIGTERM.
+# (including the removed --socket-dir) with exit 2, and drain cleanly to
+# exit 130 on SIGTERM, leaving nothing behind in its TMPDIR.
 #
 #   scripts/check_fleet.sh [build-dir]
 #
@@ -39,11 +40,17 @@ got=0
   echo "check_fleet: bad --tcp: expected exit 2, got $got" >&2
   exit 1
 }
+got=0
+"$kswsim" fleet --socket-dir=x >/dev/null 2>&1 || got=$?
+[ "$got" -eq 2 ] || {
+  echo "check_fleet: --socket-dir is gone: expected exit 2, got $got" >&2
+  exit 1
+}
 
 echo "== fleet starts with 2 workers on an ephemeral port"
-"$kswsim" fleet --workers=2 --tcp=127.0.0.1:0 \
-  --metrics-out="$work/metrics.json" --socket-dir="$work/socks" \
-  2>"$work/fleet.log" &
+mkdir "$work/tmp"
+TMPDIR="$work/tmp" "$kswsim" fleet --workers=2 --tcp=127.0.0.1:0 \
+  --metrics-out="$work/metrics.json" 2>"$work/fleet.log" &
 fleet_pid=$!
 
 port=""
@@ -139,9 +146,10 @@ grep -q '"fleet.requests"' "$work/metrics.json" || {
   cat "$work/metrics.json" >&2
   exit 1
 }
-remaining=$(find "$work/socks" -name '*.sock' 2>/dev/null | wc -l)
+remaining=$(find "$work/tmp" -mindepth 1 | wc -l)
 [ "$remaining" -eq 0 ] || {
-  echo "check_fleet: $remaining worker sockets left behind" >&2
+  echo "check_fleet: $remaining entries left behind in the fleet's TMPDIR" >&2
+  find "$work/tmp" -mindepth 1 >&2
   exit 1
 }
 

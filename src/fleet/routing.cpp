@@ -10,16 +10,4 @@ std::size_t route(std::uint64_t hash, std::size_t workers) noexcept {
   return static_cast<std::size_t>(hash % workers);
 }
 
-std::size_t route_alive(std::uint64_t hash,
-                        const std::vector<bool>& alive) noexcept {
-  const std::size_t n = alive.size();
-  if (n == 0) return 0;
-  const std::size_t primary = route(hash, n);
-  for (std::size_t probe = 0; probe < n; ++probe) {
-    const std::size_t i = (primary + probe) % n;
-    if (alive[i]) return i;
-  }
-  return n;
-}
-
 }  // namespace ksw::fleet

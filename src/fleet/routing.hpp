@@ -5,14 +5,11 @@
 // evaluation cache uses (serve/query.hpp). Two requests that share a
 // cache entry therefore always land on the same worker, so each shard's
 // LRU stays hot and a repeated tuple is a cache hit no matter which TCP
-// connection it arrived on. Because every kernel is a pure function of
-// the canonical tuple, re-routing around a dead worker changes *where*
-// a request is evaluated but never *what* bytes come back.
+// connection it arrived on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "serve/query.hpp"
 
@@ -22,15 +19,8 @@ namespace ksw::fleet {
 /// Pure — identical across processes, runs, and architectures.
 [[nodiscard]] std::uint64_t shard_hash(const serve::Query& query);
 
-/// Primary worker for a hash: `hash % workers`. `workers` must be >= 1.
+/// Worker for a hash: `hash % workers`. `workers` must be >= 1.
 [[nodiscard]] std::size_t route(std::uint64_t hash,
                                 std::size_t workers) noexcept;
-
-/// Route honoring liveness: the primary worker when alive, else the
-/// first alive worker scanning upward from it (wrap-around) — a
-/// deterministic interim assignment while the primary restarts. Returns
-/// `workers` (an invalid index) when no worker is alive.
-[[nodiscard]] std::size_t route_alive(std::uint64_t hash,
-                                      const std::vector<bool>& alive) noexcept;
 
 }  // namespace ksw::fleet

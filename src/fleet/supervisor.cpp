@@ -1,11 +1,12 @@
 #include "fleet/supervisor.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <deque>
 #include <iostream>
+#include <map>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -13,8 +14,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -29,8 +28,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Poll granularity: cancellation, reaping, and reconnect attempts are
-/// all observed within this many milliseconds even when idle.
+/// Poll granularity: cancellation and reaping are observed within this
+/// many milliseconds even when idle.
 constexpr int kPollMs = 50;
 /// How long a worker must survive after spawn for its next exit to be
 /// treated as fresh rather than part of a crash loop.
@@ -96,26 +95,14 @@ struct Supervisor::Pending {
   obs::Span span;
 };
 
-struct Supervisor::Held {
-  std::string line;
-  Pending pending;
-  std::uint64_t hash = 0;
-};
-
 struct Supervisor::WorkerState {
   pid_t pid = -1;
-  int fd = -1;
-  std::string socket_path;
+  int fd = -1;  ///< supervisor's socketpair end; -1 = dead (draining only)
   std::string rbuf;
   std::string wbuf;
   std::deque<Pending> pending;  ///< forwarded, awaiting response (FIFO)
-  bool alive = false;           ///< connected and believed healthy
-  bool connecting = false;      ///< spawned, socket not accepted yet
   Clock::time_point spawned_at{};
-  Clock::time_point connect_deadline{};
   int early_deaths = 0;
-  std::uint64_t forwarded = 0;
-  std::uint64_t restarts = 0;
 };
 
 struct Supervisor::ClientState {
@@ -149,9 +136,7 @@ Supervisor::Supervisor(FleetOptions opts) : opts_(std::move(opts)) {
   ok_ = &registry_.counter("fleet.responses.ok");
   errors_ = &registry_.counter("fleet.responses.error");
   forwarded_ = &registry_.counter("fleet.forwarded");
-  rerouted_ = &registry_.counter("fleet.rerouted");
   shed_overload_ = &registry_.counter("fleet.shed.overload");
-  shed_deadline_ = &registry_.counter("fleet.shed.deadline");
   invalid_ = &registry_.counter("fleet.invalid");
   worker_exits_ = &registry_.counter("fleet.worker.exits");
   restarts_ = &registry_.counter("fleet.worker.restarts");
@@ -163,7 +148,6 @@ Supervisor::Supervisor(FleetOptions opts) : opts_(std::move(opts)) {
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i)
     workers_.push_back(std::make_unique<WorkerState>());
-  pids_.assign(opts_.workers, -1);
 }
 
 Supervisor::~Supervisor() {
@@ -173,7 +157,6 @@ Supervisor::~Supervisor() {
       ::kill(w->pid, SIGKILL);
       ::waitpid(w->pid, nullptr, 0);
     }
-    if (!w->socket_path.empty()) ::unlink(w->socket_path.c_str());
   }
   for (auto& c : clients_)
     if (c->fd >= 0) ::close(c->fd);
@@ -193,61 +176,26 @@ std::string Supervisor::generate_trace_id() {
 
 void Supervisor::start_worker(std::size_t index, std::ostream& err) {
   WorkerState& w = *workers_[index];
-  w.socket_path =
-      opts_.socket_dir + "/worker-" + std::to_string(index) + ".sock";
-  ::unlink(w.socket_path.c_str());  // stale socket from a previous life
-  std::vector<std::string> args{"serve", "--listen=" + w.socket_path};
+  int ends[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) < 0)
+    throw ksw::io_error(std::string("fleet: socketpair failed: ") +
+                        std::strerror(errno));
+  ::fcntl(ends[0], F_SETFL, O_NONBLOCK);
+  std::vector<std::string> args{"serve"};
   args.insert(args.end(), opts_.worker_args.begin(), opts_.worker_args.end());
   const std::string binary =
       opts_.worker_binary.empty() ? self_exe_path() : opts_.worker_binary;
-  w.pid = spawn_process(binary, args);
+  w.pid = spawn_process(binary, args, ends[1]);
+  ::close(ends[1]);
+  w.fd = ends[0];
   w.spawned_at = Clock::now();
-  w.connect_deadline =
-      w.spawned_at + std::chrono::milliseconds(opts_.connect_timeout_ms);
-  w.connecting = true;
-  w.alive = false;
-  pids_[index] = w.pid;
-  err << "fleet: worker " << index << " pid " << w.pid << " socket "
-      << w.socket_path << "\n";
-}
-
-void Supervisor::try_connect_worker(std::size_t index, std::ostream& err) {
-  WorkerState& w = *workers_[index];
-  if (!w.connecting) return;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, w.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0)
-    throw ksw::io_error(std::string("fleet: socket failed: ") +
-                        std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-      0) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    w.fd = fd;
-    w.alive = true;
-    w.connecting = false;
-    err << "fleet: worker " << index << " connected\n";
-    drain_hold_queue();
-    return;
-  }
-  ::close(fd);
-  if (Clock::now() >= w.connect_deadline)
-    throw ksw::fleet_error("worker " + std::to_string(index) +
-                           " did not accept on " + w.socket_path +
-                           " within " +
-                           std::to_string(opts_.connect_timeout_ms) + " ms");
+  err << "fleet: worker " << index << " pid " << w.pid << "\n";
 }
 
 void Supervisor::start(std::ostream& err) {
   // A worker or client that disappears mid-write must never kill the
   // supervisor.
   std::signal(SIGPIPE, SIG_IGN);
-  if (opts_.socket_dir.empty())
-    throw ksw::usage_error("fleet: socket_dir must be set");
-  ::mkdir(opts_.socket_dir.c_str(), 0700);  // EEXIST is fine
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
                         0);
@@ -273,16 +221,6 @@ void Supervisor::start(std::ostream& err) {
   port_ = ntohs(bound.sin_port);
 
   for (std::size_t i = 0; i < opts_.workers; ++i) start_worker(i, err);
-  // Initial bring-up is synchronous: the fleet does not announce its
-  // port until every worker accepts, so a client that connects right
-  // after the banner always finds a full fleet.
-  for (std::size_t i = 0; i < opts_.workers; ++i) {
-    WorkerState& w = *workers_[i];
-    w.fd = connect_unix_retry(w.socket_path, opts_.connect_timeout_ms);
-    w.alive = true;
-    w.connecting = false;
-  }
-  err << "fleet: " << opts_.workers << " workers ready\n";
   err << "fleet: listening on " << opts_.host << ":" << port_ << "\n";
 }
 
@@ -294,7 +232,6 @@ void Supervisor::reap_children(std::ostream& err) {
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       if (workers_[i]->pid == pid) {
         workers_[i]->pid = -1;  // already reaped
-        pids_[i] = -1;
         on_worker_dead(i, err);
         break;
       }
@@ -304,19 +241,14 @@ void Supervisor::reap_children(std::ostream& err) {
 
 void Supervisor::on_worker_dead(std::size_t index, std::ostream& err) {
   WorkerState& w = *workers_[index];
-  if (w.fd >= 0) {
-    ::close(w.fd);
-    w.fd = -1;
-  }
-  const bool was_up = w.alive || w.connecting;
-  w.alive = false;
-  w.connecting = false;
-  if (!was_up) return;  // already handled (fd error + reap can both fire)
+  if (w.fd < 0) return;  // already handled (EOF and reap can both fire)
+  ::close(w.fd);
+  w.fd = -1;
   worker_exits_->inc();
 
   // Requests the worker took with it answer in-band: nothing was flushed
   // for them, and every kernel is a pure function, so the client can
-  // simply retry (likely against the restarted worker's warm shard).
+  // simply retry against the restarted worker.
   for (auto& p : w.pending) {
     complete(p,
              serve::render_error(p.id, serve::wire::kInternal,
@@ -344,11 +276,11 @@ void Supervisor::on_worker_dead(std::size_t index, std::ostream& err) {
     ::kill(w.pid, SIGKILL);
     ::waitpid(w.pid, nullptr, 0);
     w.pid = -1;
-    pids_[index] = -1;
   }
+  // The restart is synchronous: the new worker is connected the moment it
+  // is forked, so the shard never goes without a live worker.
   err << "fleet: worker " << index << " exited; restarting\n";
   restarts_->inc();
-  w.restarts++;
   start_worker(index, err);
 }
 
@@ -464,30 +396,16 @@ void Supervisor::handle_request(std::size_t slot, std::string line) {
   }
   p.kernel = serve::kernel_name(req.query.kernel);
 
-  const std::uint64_t hash = shard_hash(req.query);
-  std::vector<bool> alive(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    alive[i] = workers_[i]->alive;
-  const std::size_t target = route_alive(hash, alive);
-  if (target == workers_.size()) {
-    // No live worker right now (mass restart in progress): park the
-    // request, bounded by the same queue-depth budget.
-    if (hold_.size() >= opts_.queue_depth) {
-      shed_overload_->inc();
-      complete(p,
-               serve::render_error(
-                   p.id, serve::wire::kOverload,
-                   "fleet hold queue full (depth " +
-                       std::to_string(opts_.queue_depth) +
-                       ") while workers restart; retry",
-                   p.trace_id),
-               -1);
-      return;
-    }
-    hold_.push_back(Held{std::move(line), std::move(p), hash});
+  const std::size_t target = route(shard_hash(req.query), workers_.size());
+  WorkerState& w = *workers_[target];
+  if (w.fd < 0) {
+    // Only reachable while draining: workers are not restarted then.
+    complete(p,
+             serve::render_error(p.id, serve::wire::kInterrupted,
+                                 "fleet is shutting down", p.trace_id),
+             static_cast<int>(target));
     return;
   }
-  WorkerState& w = *workers_[target];
   if (w.pending.size() >= opts_.queue_depth) {
     shed_overload_->inc();
     complete(p,
@@ -500,7 +418,6 @@ void Supervisor::handle_request(std::size_t slot, std::string line) {
              static_cast<int>(target));
     return;
   }
-  if (target != route(hash, workers_.size())) rerouted_->inc();
   forward(target, std::move(line), std::move(p));
 }
 
@@ -519,7 +436,6 @@ void Supervisor::forward(std::size_t worker, std::string line,
   }
   w.wbuf += line;
   w.wbuf += '\n';
-  w.forwarded++;
   forwarded_->inc();
   w.pending.push_back(std::move(pending));
   std::size_t inflight = 0;
@@ -532,53 +448,10 @@ void Supervisor::forward(std::size_t worker, std::string line,
   }
 }
 
-void Supervisor::drain_hold_queue() {
-  while (!hold_.empty()) {
-    Held held = std::move(hold_.front());
-    hold_.pop_front();
-    Pending& p = held.pending;
-    if (p.deadline_ms > 0 &&
-        Clock::now() > p.arrival + std::chrono::milliseconds(p.deadline_ms)) {
-      shed_deadline_->inc();
-      complete(p,
-               serve::render_error(p.id, serve::wire::kDeadline,
-                                   "deadline of " +
-                                       std::to_string(p.deadline_ms) +
-                                       " ms expired while held by the fleet "
-                                       "supervisor",
-                                   p.trace_id),
-               -1);
-      continue;
-    }
-    std::vector<bool> alive(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i)
-      alive[i] = workers_[i]->alive;
-    const std::size_t target = route_alive(held.hash, alive);
-    if (target == workers_.size()) {
-      hold_.push_front(std::move(held));  // still nobody; keep waiting
-      return;
-    }
-    WorkerState& w = *workers_[target];
-    if (w.pending.size() >= opts_.queue_depth) {
-      shed_overload_->inc();
-      complete(p,
-               serve::render_error(p.id, serve::wire::kOverload,
-                                   "worker queue full (depth " +
-                                       std::to_string(opts_.queue_depth) +
-                                       "); request shed, retry with backoff",
-                                   p.trace_id),
-               static_cast<int>(target));
-      continue;
-    }
-    if (target != route(held.hash, workers_.size())) rerouted_->inc();
-    forward(target, std::move(held.line), std::move(p));
-  }
-}
-
 void Supervisor::read_worker(std::size_t index, std::ostream& err) {
   WorkerState& w = *workers_[index];
   char chunk[65536];
-  while (w.alive) {
+  while (true) {
     const ssize_t n = ::read(w.fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -699,8 +572,6 @@ FleetSummary Supervisor::run(const par::CancelToken* cancel,
     }
 
     reap_children(err);
-    for (std::size_t i = 0; i < workers_.size(); ++i)
-      if (workers_[i]->connecting) try_connect_worker(i, err);
 
     // Assemble the poll set: listener, clients, workers.
     std::vector<struct pollfd> pfds;
@@ -721,7 +592,7 @@ FleetSummary Supervisor::run(const par::CancelToken* cancel,
     }
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       WorkerState& w = *workers_[i];
-      if (!w.alive || w.fd < 0) continue;
+      if (w.fd < 0) continue;
       short events = POLLIN;
       if (!w.wbuf.empty()) events |= POLLOUT;
       pfds.push_back({w.fd, events, 0});
@@ -752,13 +623,13 @@ FleetSummary Supervisor::run(const par::CancelToken* cancel,
           read_client(index);
       } else {
         WorkerState& w = *workers_[index];
-        if ((re & POLLOUT) != 0 && w.alive && !w.wbuf.empty()) {
+        if ((re & POLLOUT) != 0 && w.fd >= 0 && !w.wbuf.empty()) {
           if (write_some(w.fd, &w.wbuf) == IoResult::kClosed) {
             on_worker_dead(index, err);
             continue;
           }
         }
-        if ((re & (POLLIN | POLLHUP | POLLERR)) != 0 && w.alive)
+        if ((re & (POLLIN | POLLHUP | POLLERR)) != 0 && w.fd >= 0)
           read_worker(index, err);
       }
     }
@@ -775,13 +646,6 @@ FleetSummary Supervisor::run(const par::CancelToken* cancel,
                static_cast<int>(i));
     w.pending.clear();
   }
-  for (auto& held : hold_)
-    complete(held.pending,
-             serve::render_error(held.pending.id, serve::wire::kInterrupted,
-                                 "fleet is shutting down",
-                                 held.pending.trace_id),
-             -1);
-  hold_.clear();
   // Give clients a short, bounded chance to take their final bytes.
   const auto flush_deadline = Clock::now() + std::chrono::milliseconds(500);
   while (Clock::now() < flush_deadline) {
@@ -810,7 +674,6 @@ void Supervisor::shutdown_workers(std::ostream& err) {
       ::close(w->fd);
       w->fd = -1;
     }
-    w->alive = false;
     if (w->pid > 0) ::kill(w->pid, SIGTERM);
   }
   const auto deadline = Clock::now() + kReapBudget;
@@ -836,9 +699,7 @@ void Supervisor::shutdown_workers(std::ostream& err) {
       ::waitpid(w->pid, nullptr, 0);
       w->pid = -1;
     }
-    if (!w->socket_path.empty()) ::unlink(w->socket_path.c_str());
   }
-  std::fill(pids_.begin(), pids_.end(), -1);
   err << "fleet: all workers stopped\n";
 }
 

@@ -1,15 +1,16 @@
 // The serve-fleet supervisor behind `kswsim fleet`.
 //
 // One supervisor process owns a TCP listener (the fleet's front door)
-// and N `kswsim serve --listen=<unix socket>` worker processes. Every
-// ksw.query/v1 request line read from a TCP client is parsed once,
-// routed to a worker by the FNV-1a hash of its canonical cache key
-// (fleet/routing.hpp), and relayed verbatim; the worker's response line
-// is relayed back verbatim, so fleet responses are bit-identical to
-// single-process `kswsim serve` responses by construction. Responses to
-// one client are flushed strictly in that client's request order (a
-// per-client reorder buffer re-sequences across workers), matching the
-// single-process ordering contract.
+// and N `kswsim serve` worker processes, each speaking ksw.query/v1 on
+// its stdin/stdout, which is one end of a socketpair whose other end the
+// supervisor holds (fleet/worker.hpp). Every request line read from a
+// TCP client is parsed once, routed to a worker by the FNV-1a hash of
+// its canonical cache key (fleet/routing.hpp), and relayed verbatim; the
+// worker's response line is relayed back verbatim, so fleet responses
+// are bit-identical to single-process `kswsim serve` responses by
+// construction. Responses to one client are flushed strictly in that
+// client's request order (a per-client reorder buffer re-sequences
+// across workers), matching the single-process ordering contract.
 //
 // Admission control (docs/OPERATIONS.md "Overload and brownout"):
 // each worker has a bounded queue of forwarded-but-unanswered requests
@@ -18,27 +19,21 @@
 // queued without bound — under sustained overload the fleet degrades to
 // a bounded-latency subset of the offered load (brownout) rather than
 // collapsing into unbounded queueing, which is exactly what the
-// heavy-tail multi-server results in PAPERS.md warn about. Requests held
-// while no worker is live are additionally shed when their deadline
-// expires before dispatch.
+// heavy-tail multi-server results in PAPERS.md warn about.
 //
 // Worker supervision: a worker that exits (crash, OOM kill) has its
-// in-flight requests answered in-band (kind "internal"), is restarted
-// immediately, and its shard of the key space is re-routed to the next
-// live worker in the interim. A worker that crash-loops (repeated exits
-// within a second of spawn) escalates to ksw::Error(kFleet), exit 8.
+// in-flight requests answered in-band (kind "internal") and is restarted
+// synchronously, so while the loop runs every shard always has a live
+// worker. A worker that crash-loops (repeated exits within a second of
+// spawn) escalates to ksw::Error(kFleet), exit 8.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include <sys/types.h>
 
 #include "io/json.hpp"
 #include "obs/registry.hpp"
@@ -53,16 +48,14 @@ struct FleetOptions {
   std::size_t workers = 4;        ///< worker processes (>= 1)
   std::string host = "127.0.0.1";  ///< TCP bind address
   int port = 0;                   ///< TCP port; 0 = ephemeral (printed)
-  std::string socket_dir;         ///< directory for worker Unix sockets
   std::size_t queue_depth = 128;  ///< per-worker forwarded-unanswered cap
   std::int64_t deadline_ms = 0;   ///< default request deadline (0 = none)
   std::string worker_binary;      ///< kswsim path; "" = /proc/self/exe
-  /// Extra argv appended to `serve --listen=<socket>` for every worker
+  /// Extra argv appended to `serve` for every worker
   /// (--threads/--batch/--cache-mb/--deadline-ms pass-through).
   std::vector<std::string> worker_args;
   std::string access_log;         ///< supervisor-hop JSONL log ("" = off)
   obs::Tracer* tracer = nullptr;  ///< fleet.request spans (not owned)
-  int connect_timeout_ms = 10'000;  ///< spawn -> socket-accept budget
   int restart_limit = 5;          ///< consecutive early deaths tolerated
   std::size_t max_line_bytes = 1 << 20;  ///< per-connection line cap
 };
@@ -83,7 +76,7 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Bind the TCP listener, then spawn and connect every worker.
+  /// Bind the TCP listener, then spawn every worker.
   /// Logs "fleet: listening on HOST:PORT" and one "fleet: worker I pid P"
   /// line per worker to `err` (machine-parsed by tests and the bench).
   /// Throws ksw::Error(kFleet) when a worker cannot be started.
@@ -91,9 +84,6 @@ class Supervisor {
 
   /// Bound TCP port (valid after start(); resolves port 0 requests).
   [[nodiscard]] int port() const noexcept { return port_; }
-  [[nodiscard]] const std::vector<pid_t>& worker_pids() const noexcept {
-    return pids_;
-  }
 
   /// Accept/route/relay until cancelled. On cancellation: drain worker
   /// responses (bounded), answer undrained requests in-band with
@@ -102,14 +92,10 @@ class Supervisor {
   FleetSummary run(const par::CancelToken* cancel, std::ostream& err);
 
   /// Structured snapshot (schema ksw.obs.report/v1, command "fleet"):
-  /// fleet.* counters, request-latency quantiles, per-worker state.
+  /// fleet.* counters and request-latency quantiles.
   /// Thread-safe against a concurrent run() so a metrics ticker can
   /// snapshot a live supervisor.
   [[nodiscard]] io::Json report(bool include_wall = true) const;
-
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
-  }
 
  private:
   struct Pending;
@@ -117,14 +103,12 @@ class Supervisor {
   struct ClientState;
 
   void start_worker(std::size_t index, std::ostream& err);
-  void try_connect_worker(std::size_t index, std::ostream& err);
   void on_worker_dead(std::size_t index, std::ostream& err);
   void reap_children(std::ostream& err);
   void accept_clients();
   void read_client(std::size_t slot);
   void handle_request(std::size_t slot, std::string line);
   void forward(std::size_t worker, std::string line, Pending pending);
-  void drain_hold_queue();
   void read_worker(std::size_t index, std::ostream& err);
   void complete(Pending& pending, std::string response_line, int worker);
   void flush_client(ClientState& client);
@@ -137,11 +121,7 @@ class Supervisor {
   int listen_fd_ = -1;
   int port_ = 0;
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  std::vector<pid_t> pids_;  ///< current pid per worker index
   std::vector<std::unique_ptr<ClientState>> clients_;
-  /// Requests parked while no worker is live (bounded by queue_depth).
-  struct Held;
-  std::deque<Held> hold_;
   FleetSummary summary_;
   bool draining_ = false;
   std::ostream* err_sink_ = nullptr;  ///< run()'s err, for deep callees
@@ -155,9 +135,7 @@ class Supervisor {
   obs::Counter* ok_ = nullptr;
   obs::Counter* errors_ = nullptr;
   obs::Counter* forwarded_ = nullptr;
-  obs::Counter* rerouted_ = nullptr;
   obs::Counter* shed_overload_ = nullptr;
-  obs::Counter* shed_deadline_ = nullptr;
   obs::Counter* invalid_ = nullptr;
   obs::Counter* worker_exits_ = nullptr;
   obs::Counter* restarts_ = nullptr;

@@ -1,14 +1,8 @@
 #include "fleet/worker.hpp"
 
 #include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <cstring>
-#include <thread>
 
-#include <fcntl.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "support/error.hpp"
@@ -26,7 +20,7 @@ std::string self_exe_path() {
 }
 
 pid_t spawn_process(const std::string& binary,
-                    const std::vector<std::string>& args) {
+                    const std::vector<std::string>& args, int child_fd) {
   std::vector<char*> argv;
   argv.reserve(args.size() + 2);
   argv.push_back(const_cast<char*>(binary.c_str()));
@@ -38,15 +32,11 @@ pid_t spawn_process(const std::string& binary,
     throw ksw::fleet_error(std::string("fork failed: ") +
                            std::strerror(errno));
   if (pid == 0) {
-    // Child. The supervisor's sockets are close-on-exec; detach stdin so
-    // a worker never competes with the supervisor for the terminal. A
-    // worker must also not inherit the supervisor's pending SIGINT/
-    // SIGTERM disposition decisions — exec resets handlers anyway.
-    const int devnull = ::open("/dev/null", O_RDONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, STDIN_FILENO);
-      if (devnull != STDIN_FILENO) ::close(devnull);
-    }
+    // Child. Every supervisor descriptor is close-on-exec; dup2 clears
+    // that flag on the copies, so the worker keeps exactly its own end of
+    // the socketpair as stdin and stdout. exec resets signal handlers.
+    ::dup2(child_fd, STDIN_FILENO);
+    ::dup2(child_fd, STDOUT_FILENO);
     ::execv(binary.c_str(), argv.data());
     // exec failed; there is no exception machinery worth running here.
     const char msg[] = "fleet worker: exec failed\n";
@@ -55,35 +45,6 @@ pid_t spawn_process(const std::string& binary,
     ::_exit(127);
   }
   return pid;
-}
-
-int connect_unix_retry(const std::string& socket_path, int timeout_ms) {
-  if (socket_path.size() >= sizeof(sockaddr_un::sun_path))
-    throw ksw::fleet_error("worker socket path too long: " + socket_path);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (true) {
-    const int fd =
-        ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-      throw ksw::fleet_error(std::string("socket failed: ") +
-                             std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) == 0) {
-      const int flags = ::fcntl(fd, F_GETFL, 0);
-      ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-      return fd;
-    }
-    ::close(fd);
-    if (std::chrono::steady_clock::now() >= deadline)
-      throw ksw::fleet_error("worker did not accept on " + socket_path +
-                             " within " + std::to_string(timeout_ms) + " ms");
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
 }
 
 }  // namespace ksw::fleet

@@ -1,12 +1,14 @@
 // Worker-process management for the serve fleet.
 //
-// A fleet worker is a plain `kswsim serve --listen=<socket>` process:
-// the supervisor fork+execs the same binary it was started from (or an
-// explicit --worker-binary), waits for the worker's Unix socket to
-// accept, and keeps exactly one connection per worker open. Reusing the
-// whole single-process serve path is what makes the fleet's bit-identity
-// guarantee structural rather than aspirational: a worker cannot answer
-// differently from `kswsim serve` because it *is* `kswsim serve`.
+// A fleet worker is a plain `kswsim serve` process in stdin mode: the
+// supervisor fork+execs the same binary it was started from (or an
+// explicit --worker-binary) with one end of a socketpair as the child's
+// stdin and stdout, and keeps the other end. The worker is connected the
+// moment it is forked, and it exits on EOF when the supervisor goes away.
+// Reusing the whole single-process serve path is what makes the fleet's
+// bit-identity guarantee structural rather than aspirational: a worker
+// cannot answer differently from `kswsim serve` because it *is*
+// `kswsim serve`.
 #pragma once
 
 #include <string>
@@ -21,17 +23,12 @@ namespace ksw::fleet {
 [[nodiscard]] std::string self_exe_path();
 
 /// Fork+exec `binary` with `args` (argv[1..]; argv[0] is `binary`).
-/// The child's stdin is redirected to /dev/null; stdout and stderr are
-/// inherited so worker diagnostics surface in the supervisor's stderr.
+/// The child's stdin and stdout are `child_fd` (one end of a socketpair);
+/// stderr is inherited so worker diagnostics surface in the supervisor's
+/// stderr. The caller closes its copy of `child_fd` afterwards.
 /// Returns the child pid; throws ksw::Error(kFleet) on fork failure.
 [[nodiscard]] pid_t spawn_process(const std::string& binary,
-                                  const std::vector<std::string>& args);
-
-/// Connect to a Unix stream socket, retrying until the path accepts or
-/// `timeout_ms` elapses (covers the spawn -> bind race on a fresh
-/// worker). The returned descriptor is non-blocking and close-on-exec.
-/// Throws ksw::Error(kFleet) on timeout or connect failure.
-[[nodiscard]] int connect_unix_retry(const std::string& socket_path,
-                                     int timeout_ms);
+                                  const std::vector<std::string>& args,
+                                  int child_fd);
 
 }  // namespace ksw::fleet

@@ -4,7 +4,10 @@
 //   - fleet responses are byte-identical to single-process serve,
 //   - a killed worker is restarted and the fleet keeps answering,
 //   - a full queue sheds in-band with error.kind "overload",
-//   - responses come back in per-connection request order.
+//   - responses come back in per-connection request order,
+//   - workers never outlive the supervisor, and a failed start leaves
+//     nothing behind,
+//   - a half-closed, vanished, or abusive client affects only itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +16,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,6 +44,19 @@ using Clock = std::chrono::steady_clock;
 class FleetProc {
  public:
   void start(const std::vector<std::string>& extra_args) {
+    spawn(extra_args);
+    ASSERT_TRUE(wait_for_banner("fleet: listening on 127.0.0.1:"))
+        << "fleet did not come up; stderr so far:\n"
+        << err_buf_;
+    const auto pos = err_buf_.rfind("fleet: listening on 127.0.0.1:");
+    port_ = std::stoi(err_buf_.substr(pos + 30));
+    parse_worker_pids();
+  }
+
+  /// Fork+exec the fleet without waiting for its banner; a non-empty
+  /// `tmpdir` becomes the child's TMPDIR.
+  void spawn(const std::vector<std::string>& extra_args,
+             const std::string& tmpdir = "") {
     int errpipe[2];
     ASSERT_EQ(::pipe(errpipe), 0);
     pid_ = ::fork();
@@ -47,6 +65,7 @@ class FleetProc {
       ::close(errpipe[0]);
       ::dup2(errpipe[1], STDERR_FILENO);
       ::close(errpipe[1]);
+      if (!tmpdir.empty()) ::setenv("TMPDIR", tmpdir.c_str(), 1);
       std::vector<std::string> args{KSW_KSWSIM_BIN, "fleet",
                                     "--tcp=127.0.0.1:0"};
       args.insert(args.end(), extra_args.begin(), extra_args.end());
@@ -61,20 +80,15 @@ class FleetProc {
     err_fd_ = errpipe[0];
     const int flags = ::fcntl(err_fd_, F_GETFL, 0);
     ::fcntl(err_fd_, F_SETFL, flags | O_NONBLOCK);
-    ASSERT_TRUE(wait_for_banner("fleet: listening on 127.0.0.1:"))
-        << "fleet did not come up; stderr so far:\n"
-        << err_buf_;
-    const auto pos = err_buf_.rfind("fleet: listening on 127.0.0.1:");
-    port_ = std::stoi(err_buf_.substr(pos + 30));
-    parse_worker_pids();
   }
 
   ~FleetProc() { stop(); }
 
-  /// SIGTERM the fleet and reap it; returns the exit code (or -signal).
-  int stop() {
+  /// Send `sig` (0 = none, just wait for exit) and reap the fleet;
+  /// returns the exit code (or -signal).
+  int stop(int sig = SIGTERM) {
     if (pid_ <= 0) return last_status_;
-    ::kill(pid_, SIGTERM);
+    if (sig != 0) ::kill(pid_, sig);
     int status = 0;
     ::waitpid(pid_, &status, 0);
     pid_ = -1;
@@ -131,7 +145,7 @@ class FleetProc {
     std::istringstream in(err_buf_);
     std::string line;
     while (std::getline(in, line)) {
-      // "fleet: worker I pid P socket ..." — keep the *latest* pid per
+      // "fleet: worker I pid P" — keep the *latest* pid per
       // index so restarts update the table.
       int index = 0;
       pid_t pid = 0;
@@ -356,6 +370,238 @@ TEST(FleetE2E, FullQueueShedsWithOverloadKind) {
   }
   EXPECT_GT(overload, 0) << "queue depth 1 never shed a 200-request burst";
   EXPECT_LT(overload, kBurst) << "every request shed; none served";
+  EXPECT_EQ(fleet.stop(), 130);
+}
+
+/// `count` distinct first_stage requests with ids 0..count-1; a
+/// `distribution` > 0 asks for that many terms of the waiting-time law.
+std::string first_stage_batch(int count, int distribution = 0) {
+  std::string batch;
+  for (int i = 0; i < count; ++i)
+    batch += R"({"id":)" + std::to_string(i) +
+             R"(,"kernel":"first_stage","params":{"p":0.)" +
+             std::to_string(10 + i) +
+             (distribution > 0
+                  ? R"(,"distribution":)" + std::to_string(distribution)
+                  : std::string()) +
+             "}}\n";
+  return batch;
+}
+
+/// True once `pid` no longer runs: reaped, or a zombie awaiting reaping
+/// by whichever process adopted it.
+bool process_gone(pid_t pid) {
+  if (::kill(pid, 0) != 0) return errno == ESRCH;
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string text;
+  std::getline(stat, text);
+  const auto paren = text.rfind(')');
+  return paren == std::string::npos || paren + 2 >= text.size() ||
+         text[paren + 2] == 'Z';
+}
+
+TEST(FleetE2E, WorkersExitWhenTheSupervisorIsKilled) {
+  FleetProc fleet;
+  fleet.start({"--workers=3"});
+  std::vector<pid_t> left = fleet.worker_pids();
+  ASSERT_EQ(left.size(), 3u);
+
+  // Prove the workers serve before their supervisor disappears.
+  const int fd = fleet.connect_client();
+  const auto corpus = request_corpus();
+  std::string joined;
+  for (const auto& line : corpus) joined += line + "\n";
+  send_all(fd, joined);
+  ASSERT_EQ(read_lines(fd, corpus.size()).size(), corpus.size());
+  ::close(fd);
+
+  EXPECT_EQ(fleet.stop(SIGKILL), -SIGKILL);
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (!left.empty() && Clock::now() < deadline) {
+    left.erase(std::remove_if(left.begin(), left.end(), process_gone),
+               left.end());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  for (const pid_t pid : left) ::kill(pid, SIGKILL);  // leak no orphans
+  EXPECT_TRUE(left.empty()) << left.size()
+                            << " of 3 workers outlived the supervisor by 5 s";
+}
+
+TEST(FleetE2E, FailedStartExitsFiveAndLeavesTmpdirEmpty) {
+  namespace fs = std::filesystem;
+  // Hold a listening port so the fleet's bind fails.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  socklen_t len = sizeof addr;
+  ::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len);
+  const int port = ntohs(addr.sin_port);
+
+  std::string pattern =
+      (fs::temp_directory_path() / "fleet-e2e-tmpdir-XXXXXX").string();
+  ASSERT_NE(::mkdtemp(pattern.data()), nullptr);
+  const fs::path tmpdir = pattern;
+
+  FleetProc fleet;
+  fleet.spawn({"--workers=2", "--tcp=127.0.0.1:" + std::to_string(port)},
+              tmpdir.string());
+  EXPECT_EQ(fleet.stop(0), 5) << fleet.stderr_text();
+  std::vector<std::string> leftovers;
+  for (const auto& entry : fs::directory_iterator(tmpdir))
+    leftovers.push_back(entry.path().filename().string());
+  fs::remove_all(tmpdir);
+  ::close(holder);
+  EXPECT_TRUE(leftovers.empty())
+      << "failed start left " << leftovers.size() << " entries in TMPDIR, "
+      << "first: " << leftovers.front();
+}
+
+TEST(FleetE2E, CrashLoopingWorkerExitsEight) {
+  // A worker that dies straight after spawn is restarted synchronously
+  // until the crash-loop guard gives up: supervision failure, exit 8.
+  FleetProc fleet;
+  fleet.spawn({"--workers=2", "--worker-binary=/bin/false"});
+  EXPECT_EQ(fleet.stop(0), 8) << fleet.stderr_text();
+  EXPECT_NE(fleet.stderr_text().find("crash-looping"), std::string::npos)
+      << fleet.stderr_text();
+}
+
+/// Read until the peer closes (or `budget` runs out); returns the lines
+/// received and sets `*eof` when the connection ended cleanly or by reset.
+std::vector<std::string> read_until_eof(int fd, bool* eof,
+                                        std::chrono::milliseconds budget =
+                                            std::chrono::milliseconds(30000)) {
+  std::vector<std::string> lines;
+  std::string buf;
+  *eof = false;
+  const auto deadline = Clock::now() + budget;
+  while (!*eof && Clock::now() < deadline) {
+    struct pollfd pfd {
+      fd, POLLIN, 0
+    };
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char chunk[65536];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) {
+      *eof = n == 0 || errno == ECONNRESET;
+      break;
+    }
+    buf.append(chunk, static_cast<std::size_t>(n));
+    std::size_t nl;
+    while ((nl = buf.find('\n')) != std::string::npos) {
+      lines.push_back(buf.substr(0, nl));
+      buf.erase(0, nl + 1);
+    }
+  }
+  return lines;
+}
+
+/// Write without SIGPIPE; returns false once the peer has gone away.
+bool send_nosignal(int fd, const std::string& bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + done, bytes.size() - done,
+                             MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+TEST(FleetE2E, HalfClosedClientGetsEveryResponseThenEof) {
+  FleetProc fleet;
+  fleet.start({"--workers=2"});
+  constexpr int kRequests = 30;
+  const int fd = fleet.connect_client();
+  send_all(fd, first_stage_batch(kRequests));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);  // done sending, still listening
+  bool eof = false;
+  const auto lines = read_until_eof(fd, &eof);
+  ::close(fd);
+  ASSERT_EQ(lines.size(), std::size_t{kRequests}) << fleet.stderr_text();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find(R"("id":)" + std::to_string(i) + ","),
+              std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find(R"("ok":true)"), std::string::npos) << lines[i];
+  }
+  EXPECT_TRUE(eof) << "fleet kept a half-closed client open after its "
+                      "last response";
+  EXPECT_EQ(fleet.stop(), 130);
+}
+
+TEST(FleetE2E, ClientVanishingMidResponseLeavesOthersServed) {
+  FleetProc fleet;
+  fleet.start({"--workers=2"});
+
+  // Client A asks for many large (2048-term) distributions and closes
+  // without reading: the supervisor is mid-way through relaying them
+  // when the connection resets.
+  const int a = fleet.connect_client();
+  const std::string big = first_stage_batch(64, 2048);
+  send_all(a, big);
+
+  // Client B runs concurrently and must see every response, in order.
+  const int b = fleet.connect_client();
+  send_all(b, first_stage_batch(40));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ::close(a);
+  const auto lines = read_lines(b, 40);
+  ASSERT_EQ(lines.size(), 40u) << fleet.stderr_text();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find(R"("id":)" + std::to_string(i) + ","),
+              std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find(R"("ok":true)"), std::string::npos) << lines[i];
+  }
+  ::close(b);
+
+  // And the fleet keeps serving new connections, large answers included.
+  const int c = fleet.connect_client();
+  send_all(c, big);
+  const auto again = read_lines(c, 64);
+  ::close(c);
+  ASSERT_EQ(again.size(), 64u) << fleet.stderr_text();
+  for (const auto& line : again)
+    EXPECT_NE(line.find(R"("ok":true)"), std::string::npos);
+  EXPECT_EQ(fleet.stop(), 130);
+}
+
+TEST(FleetE2E, OverlongLineClosesOnlyThatConnection) {
+  constexpr std::size_t kMaxLine = std::size_t{1} << 20;  // max_line_bytes
+  FleetProc fleet;
+  fleet.start({"--workers=2"});
+  const int good = fleet.connect_client();
+
+  // A line past the cap (no newline in sight) is protocol abuse: the
+  // supervisor drops the connection without answering.
+  const int abuser = fleet.connect_client();
+  send_nosignal(abuser, std::string(kMaxLine + 4096, 'x'));
+  bool eof = false;
+  const auto answered = read_until_eof(abuser, &eof);
+  ::close(abuser);
+  EXPECT_TRUE(eof) << "overlong line did not close the connection";
+  EXPECT_TRUE(answered.empty()) << answered.front();
+
+  // A valid request padded to just under the cap is answered normally
+  // on the connection that was open all along.
+  const std::string request =
+      R"({"id":7,"kernel":"first_stage","params":{"p":0.5}})";
+  std::string padded = request;
+  padded.insert(padded.size() - 1, kMaxLine - 64 - request.size(), ' ');
+  ASSERT_LT(padded.size(), kMaxLine);
+  send_all(good, padded + "\n");
+  const auto lines = read_lines(good, 1);
+  ::close(good);
+  ASSERT_EQ(lines.size(), 1u) << fleet.stderr_text();
+  EXPECT_NE(lines[0].find(R"("id":7)"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(R"("ok":true)"), std::string::npos) << lines[0];
   EXPECT_EQ(fleet.stop(), 130);
 }
 

@@ -52,23 +52,5 @@ TEST(Route, IsDeterministicAndInRange) {
   }
 }
 
-TEST(RouteAlive, PrefersPrimaryThenScansUpward) {
-  const std::vector<bool> all{true, true, true, true};
-  for (std::uint64_t h = 0; h < 16; ++h)
-    EXPECT_EQ(route_alive(h, all), route(h, 4));
-
-  // Primary dead: the next live index (wrapping) takes the shard.
-  std::vector<bool> alive{true, false, true, true};
-  EXPECT_EQ(route_alive(1, alive), 2);  // 1 is dead -> 2
-  alive = {false, false, false, true};
-  EXPECT_EQ(route_alive(0, alive), 3);
-  EXPECT_EQ(route_alive(3, alive), 3);
-}
-
-TEST(RouteAlive, AllDeadReturnsSize) {
-  const std::vector<bool> none{false, false, false};
-  EXPECT_EQ(route_alive(7, none), 3u);
-}
-
 }  // namespace
 }  // namespace ksw::fleet
