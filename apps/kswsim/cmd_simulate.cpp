@@ -6,7 +6,6 @@
 //                   [--warmup=N] [--seed=N] [--replicates=R] [--threads=T]
 //                   [--buffer-capacity=C] [--flow=vct|saf|credit]
 //                   [--credit-latency=N] [--correlations]
-//                   [--simd=auto|off]
 //                   [--checkpoints=3,6,9,12] [--format=table|json|csv]
 //                   [--metrics-out=FILE] [--obs-stride=N] [--obs-trace=N]
 //                   [--obs-wall]
@@ -193,11 +192,6 @@ int cmd_simulate(const ArgMap& args, std::ostream& out, std::ostream& err) {
                       "\"");
   }
   cfg.credit_latency = args.get_unsigned("credit-latency", 2);
-  const std::string simd = args.get("simd", "auto");
-  if (simd == "off")
-    simd::force_level(simd::Level::kScalar);
-  else if (simd != "auto")
-    throw usage_error("--simd: expected auto|off, got \"" + simd + "\"");
   if (cfg.flow != sim::FlowControl::kCutThrough && cfg.buffer_capacity == 0)
     throw usage_error("--flow=" + flow +
                       " requires a finite --buffer-capacity");
@@ -219,7 +213,7 @@ int cmd_simulate(const ArgMap& args, std::ostream& out, std::ostream& err) {
   const unsigned threads = args.get_unsigned("threads", 0);
 
   const std::string metrics_out = args.get("metrics-out", "");
-  cfg.obs.enabled = obs::kEnabled && !metrics_out.empty();
+  cfg.obs.enabled = !metrics_out.empty();
   cfg.obs.stride = args.get_unsigned("obs-stride", 64);
   cfg.obs.trace_points = args.get_unsigned("obs-trace", 24);
   obs::ReportOptions report_opts;

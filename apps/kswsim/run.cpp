@@ -27,8 +27,6 @@ commands:
              --topology=butterfly|omega --service=det:1 --cycles=50000
              --warmup=auto --seed=1 --replicates=1 --threads=0
              --buffer-capacity=0 --flow=vct|saf|credit --credit-latency=2
-             --simd=auto|off  (off forces the scalar oracle kernels;
-             KSW_SIMD=off|scalar|avx2|auto is the env equivalent)
              --correlations --checkpoints=3,6,9,12
              --metrics-out=FILE|- --obs-stride=64 --obs-trace=24
              --obs-wall  (structured run report; see docs/OBSERVABILITY.md)
@@ -52,8 +50,8 @@ commands:
               in-band via error.kind, not an exit code; repeated tuples
               are served bit-identically from a memoized evaluation
               cache; --access-log appends one JSONL row per request with
-              trace_id, cache hit/miss, and queue/eval timing; see
-              docs/SERVING.md)
+              trace_id, cache hit/miss, and queue/eval timing; a line
+              over 1 MiB ends its stream; see docs/SERVING.md)
   fleet      sharded serve fleet: one TCP front end over N serve workers
              --workers=4 --tcp=HOST:PORT|PORT --queue-depth=128
              --deadline-ms=0 --threads=0 --batch=64 --cache-mb=64
@@ -89,6 +87,8 @@ exit codes: 0 ok, 1 internal error, 2 usage, 3 gate failure, 4 book
 
 environment: KSW_FAULTS=site[@N][:MS],... arms deterministic fault-
              injection sites (testing; see docs/ROBUSTNESS.md)
+             KSW_SIMD=off|scalar|avx2|auto picks the simulator's kernel
+             level (off/scalar force the scalar oracle kernels)
 )";
 
 }  // namespace

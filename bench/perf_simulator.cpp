@@ -32,7 +32,6 @@
 #include "core/first_stage.hpp"
 #include "core/total_delay.hpp"
 #include "io/json.hpp"
-#include "obs/metrics.hpp"
 #include "sim/first_stage_sim.hpp"
 #include "sim/network.hpp"
 
@@ -132,7 +131,7 @@ ProbeResult run_probe(ksw::sim::NetworkConfig cfg, int repeats) {
       best.wall_s = wall;
       best.cycles = cfg.warmup_cycles + cfg.measure_cycles;
       best.packets = r.packets_delivered;
-      if (cfg.obs.enabled && ksw::obs::kEnabled) {
+      if (cfg.obs.enabled) {
         best.warmup_s = r.metrics.timers().count("sim.phase.warmup") != 0
                             ? r.metrics.timers()
                                   .at("sim.phase.warmup")
@@ -240,7 +239,7 @@ void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r) {
   std::printf("  wall            %.4f s (best of runs)\n", r.wall_s);
   std::printf("  cycles/sec      %.3e\n", cycles_per_sec);
   std::printf("  packets/sec     %.3e\n", packets_per_sec);
-  if (cfg.obs.enabled && ksw::obs::kEnabled)
+  if (cfg.obs.enabled)
     std::printf("  phase split     warmup %.4f s, measure %.4f s\n",
                 r.warmup_s, r.measure_s);
 
@@ -255,7 +254,7 @@ void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r) {
   j.set("wall_s", r.wall_s);
   j.set("cycles_per_sec", cycles_per_sec);
   j.set("packets_per_sec", packets_per_sec);
-  if (cfg.obs.enabled && ksw::obs::kEnabled) {
+  if (cfg.obs.enabled) {
     j.set("warmup_s", r.warmup_s);
     j.set("measure_s", r.measure_s);
   }

@@ -2,8 +2,9 @@
 # Out-of-process smoke test for `kswsim serve`: a 50-request JSONL batch
 # must produce one response per request in order, repeated tuples must
 # return bit-identical result bytes with the cache-hit counter advancing,
-# bad lines must answer in-band (exit code stays 0), and SIGTERM during a
-# blocked read must exit 130 promptly with the metrics snapshot flushed.
+# bad lines must answer in-band (exit code stays 0), SIGTERM during a
+# blocked read must exit 130 promptly with the metrics snapshot flushed,
+# and a line over the 1 MiB cap must end the stream with exit 5.
 #
 #   scripts/check_serve.sh [build-dir]
 #
@@ -109,6 +110,35 @@ grep -q "interrupted" "$work/term.log" || {
 }
 [ -s "$work/metrics.json" ] || {
   echo "check_serve: metrics snapshot missing after SIGTERM" >&2
+  exit 1
+}
+
+echo "== hostile input: a newline-free 2 MiB stream exits 5 naming the cap"
+cap=1048576
+head -c $((2 * cap)) /dev/zero | tr '\0' x > "$work/flood.txt"
+got=0
+timeout 20 "$kswsim" serve < "$work/flood.txt" > "$work/flood.jsonl" \
+  2>"$work/flood.log" || got=$?
+[ "$got" -eq 5 ] || {
+  echo "check_serve: overlong line: expected exit 5, got $got" >&2
+  cat "$work/flood.log" >&2
+  exit 1
+}
+grep -q "$cap-byte cap" "$work/flood.log" || {
+  echo "check_serve: overlong-line error does not name the cap" >&2
+  cat "$work/flood.log" >&2
+  exit 1
+}
+
+echo "== a valid line just under the cap is answered"
+req='{"kernel":"first_stage","id":"near-cap","params":{"p":0.5}'
+pad=$((cap - 64 - ${#req} - 1))
+{ printf '%s' "$req"; head -c "$pad" /dev/zero | tr '\0' ' '; echo '}'; } \
+  > "$work/near.jsonl"
+"$kswsim" serve < "$work/near.jsonl" > "$work/near.out" 2>"$work/near.log"
+grep -q '"id":"near-cap","ok":true' "$work/near.out" || {
+  echo "check_serve: request just under the cap was not answered ok" >&2
+  cat "$work/near.log" >&2
   exit 1
 }
 

@@ -65,10 +65,6 @@ bool is_known_site(const std::string& site) {
 }
 
 void arm(const std::string& site, SiteSpec spec) {
-  if constexpr (!kEnabled) {
-    throw usage_error("fault injection compiled out (KSW_FAULTS_ENABLED=0); "
-                      "cannot arm site \"" + site + "\"");
-  }
   if (!is_known_site(site)) {
     std::string all;
     for (const std::string& s : known_sites())
@@ -131,10 +127,6 @@ bool any_armed() {
 }
 
 bool should_fire(const char* site) {
-  if constexpr (!kEnabled) {
-    (void)site;
-    return false;
-  }
   if (g_live_sites.load(std::memory_order_relaxed) == 0) return false;
   Registry& reg = registry();
   std::lock_guard lock(reg.mu);
@@ -153,10 +145,6 @@ void maybe_fail(const char* site) {
 }
 
 void maybe_delay(const char* site) {
-  if constexpr (!kEnabled) {
-    (void)site;
-    return;
-  }
   std::int64_t delay_ms = 0;
   {
     if (g_live_sites.load(std::memory_order_relaxed) == 0) return;

@@ -8,11 +8,6 @@
 // file (fault/plan.hpp), or fault::arm() in tests. Each armed site fires
 // exactly once, on its configured visit, so every degradation path is
 // exercisable deterministically.
-//
-// The whole framework compiles out when KSW_FAULTS_ENABLED is defined to
-// 0 (CMake option KSW_FAULTS_ENABLED): call sites test fault::kEnabled,
-// which lets the compiler delete the checks, and arming becomes a hard
-// error so a forgotten KSW_FAULTS cannot silently do nothing.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +16,7 @@
 
 #include "support/error.hpp"
 
-#ifndef KSW_FAULTS_ENABLED
-#define KSW_FAULTS_ENABLED 1
-#endif
-
 namespace ksw::fault {
-
-inline constexpr bool kEnabled = KSW_FAULTS_ENABLED != 0;
 
 /// Thrown by sites that simulate an unclassified crash (replicate.throw).
 /// Deliberately NOT a ksw::Error: it models a bug-like failure, so it
@@ -56,8 +45,7 @@ struct SiteSpec {
 [[nodiscard]] const std::vector<std::string>& known_sites();
 [[nodiscard]] bool is_known_site(const std::string& site);
 
-/// Arm one site. Throws ksw::Error(kUsage) for unknown sites or when the
-/// framework is compiled out.
+/// Arm one site. Throws ksw::Error(kUsage) for unknown sites.
 void arm(const std::string& site, SiteSpec spec = {});
 
 /// Arm from a compact spec string: comma-separated `site[@N][:MS]`

@@ -11,8 +11,7 @@
 //   }
 //
 // Parsing is strict (unknown keys and sites are hard errors) and arming
-// goes through fault::arm, so a plan fails loudly when the framework is
-// compiled out.
+// goes through fault::arm.
 #pragma once
 
 #include <string>

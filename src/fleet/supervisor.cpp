@@ -34,6 +34,9 @@ constexpr int kPollMs = 50;
 /// How long a worker must survive after spawn for its next exit to be
 /// treated as fresh rather than part of a crash loop.
 constexpr auto kEarlyDeathWindow = std::chrono::milliseconds(1000);
+/// Consecutive early deaths of one worker tolerated before the fleet gives
+/// up with exit 8.
+constexpr int kRestartLimit = 5;
 /// Budget for draining in-flight worker responses after SIGTERM.
 constexpr auto kDrainBudget = std::chrono::milliseconds(2000);
 /// Budget for workers to exit after SIGTERM before SIGKILL.
@@ -128,10 +131,6 @@ Supervisor::Supervisor(FleetOptions opts) : opts_(std::move(opts)) {
     throw ksw::usage_error("fleet: --queue-depth must be at least 1");
   if (!opts_.access_log.empty())
     access_log_ = std::make_unique<serve::AccessLog>(opts_.access_log);
-  trace_base_ = obs::fnv1a64(
-      std::to_string(
-          std::chrono::system_clock::now().time_since_epoch().count()) +
-      "/fleet/" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
   requests_ = &registry_.counter("fleet.requests");
   ok_ = &registry_.counter("fleet.responses.ok");
   errors_ = &registry_.counter("fleet.responses.error");
@@ -161,17 +160,6 @@ Supervisor::~Supervisor() {
   for (auto& c : clients_)
     if (c->fd >= 0) ::close(c->fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-std::string Supervisor::generate_trace_id() {
-  std::uint64_t x = trace_base_ + 0x9e3779b97f4a7c15ull * (++trace_seq_);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  if (x == 0) x = 1;
-  return obs::hex_id(x);
 }
 
 void Supervisor::start_worker(std::size_t index, std::ostream& err) {
@@ -265,7 +253,7 @@ void Supervisor::on_worker_dead(std::size_t index, std::ostream& err) {
 
   const bool early = Clock::now() - w.spawned_at < kEarlyDeathWindow;
   w.early_deaths = early ? w.early_deaths + 1 : 0;
-  if (w.early_deaths > opts_.restart_limit)
+  if (w.early_deaths > kRestartLimit)
     throw ksw::fleet_error("worker " + std::to_string(index) +
                            " is crash-looping (" +
                            std::to_string(w.early_deaths) +
@@ -350,8 +338,8 @@ void Supervisor::read_client(std::size_t slot) {
       if (!line.empty()) handle_request(slot, std::move(line));
       if (!clients_[slot]->in_use || clients_[slot]->gen != c.gen) return;
     }
-    if (c.rbuf.size() > opts_.max_line_bytes) {
-      close_client(slot);  // unbounded line: protocol abuse
+    if (c.rbuf.size() > serve::kMaxLineBytes) {
+      close_client(slot);  // overlong line, no newline yet: ends the stream
       return;
     }
   }
@@ -359,22 +347,11 @@ void Supervisor::read_client(std::size_t slot) {
 }
 
 void Supervisor::handle_request(std::size_t slot, std::string line) {
-  ClientState& c = *clients_[slot];
-  requests_->inc();
-  summary_.requests++;
-  Pending p;
-  p.client_slot = slot;
-  p.client_gen = c.gen;
-  p.seq = c.next_seq++;
-  c.outstanding++;
-  p.arrival = Clock::now();
-
+  const Clock::time_point arrival = Clock::now();
   serve::Request req = serve::Request::parse(line, opts_.deadline_ms);
-  p.deadline_ms = req.deadline_ms;
-  p.id = req.id;
   const bool observing = access_log_ != nullptr || opts_.tracer != nullptr;
   if (observing && req.trace_id.empty()) {
-    req.trace_id = generate_trace_id();
+    req.trace_id = trace_ids_.next();
     if (req.valid()) {
       // Inject the generated id into the forwarded line so the worker
       // echoes it — exactly the envelope single-process serve emits with
@@ -384,6 +361,24 @@ void Supervisor::handle_request(std::size_t slot, std::string line) {
       line.insert(brace + 1, "\"trace_id\":\"" + req.trace_id + "\",");
     }
   }
+  // The cap applies to the line a worker would read, so a worker never
+  // ends its stream on a forwarded line.
+  if (line.size() > serve::kMaxLineBytes) {
+    close_client(slot);
+    return;
+  }
+
+  ClientState& c = *clients_[slot];
+  requests_->inc();
+  summary_.requests++;
+  Pending p;
+  p.client_slot = slot;
+  p.client_gen = c.gen;
+  p.seq = c.next_seq++;
+  c.outstanding++;
+  p.arrival = arrival;
+  p.deadline_ms = req.deadline_ms;
+  p.id = req.id;
   p.trace_id = req.trace_id;
 
   if (!req.valid()) {

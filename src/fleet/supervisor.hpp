@@ -56,8 +56,6 @@ struct FleetOptions {
   std::vector<std::string> worker_args;
   std::string access_log;         ///< supervisor-hop JSONL log ("" = off)
   obs::Tracer* tracer = nullptr;  ///< fleet.request spans (not owned)
-  int restart_limit = 5;          ///< consecutive early deaths tolerated
-  std::size_t max_line_bytes = 1 << 20;  ///< per-connection line cap
 };
 
 /// What a supervisor run did; `interrupted` maps to exit 130.
@@ -115,7 +113,6 @@ class Supervisor {
   void write_client(std::size_t slot);
   void close_client(std::size_t slot);
   void shutdown_workers(std::ostream& err);
-  [[nodiscard]] std::string generate_trace_id();
 
   FleetOptions opts_;
   int listen_fd_ = -1;
@@ -128,8 +125,7 @@ class Supervisor {
 
   obs::Registry registry_;
   std::unique_ptr<serve::AccessLog> access_log_;
-  std::uint64_t trace_base_ = 0;
-  std::uint64_t trace_seq_ = 0;
+  obs::TraceIdGenerator trace_ids_;  ///< for requests arriving without one
 
   obs::Counter* requests_ = nullptr;
   obs::Counter* ok_ = nullptr;

@@ -9,10 +9,6 @@
 //     derives from simulated events is bit-identical for a fixed seed
 //     regardless of thread count. Only wall-clock timer durations are
 //     nondeterministic, and the report emitter can omit them.
-//
-// The whole layer compiles out when KSW_OBS_ENABLED is defined to 0
-// (CMake option KSW_OBS_ENABLED): instrumentation call sites test
-// obs::kEnabled, which lets the compiler delete the sampling code.
 #pragma once
 
 #include <atomic>
@@ -20,15 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#ifndef KSW_OBS_ENABLED
-#define KSW_OBS_ENABLED 1
-#endif
-
 namespace ksw::obs {
-
-/// Compile-time observability switch; instrumentation sites gate on this
-/// so a disabled build carries zero overhead.
-inline constexpr bool kEnabled = KSW_OBS_ENABLED != 0;
 
 /// Monotonic event count. Thread-safe (relaxed); merges by summation.
 class Counter {

@@ -60,6 +60,25 @@ std::string hex_id(std::uint64_t id) {
   return buf;
 }
 
+TraceIdGenerator::TraceIdGenerator()
+    : base_(fnv1a64(
+          std::to_string(
+              std::chrono::system_clock::now().time_since_epoch().count()) +
+          "/" + std::to_string(reinterpret_cast<std::uintptr_t>(this)))) {}
+
+std::string TraceIdGenerator::next() {
+  std::uint64_t x =
+      base_ + 0x9e3779b97f4a7c15ull *
+                  (seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  if (x == 0) x = 1;  // hex16 "0" doubles as "no id" elsewhere
+  return hex_id(x);
+}
+
 std::uint64_t parse_hex_id(std::string_view text) noexcept {
   if (text.empty() || text.size() > 16) return 0;
   std::uint64_t value = 0;
@@ -76,7 +95,7 @@ std::uint64_t parse_hex_id(std::string_view text) noexcept {
 }
 
 Span::Span(Tracer* tracer, std::string name, std::uint64_t trace_id) {
-  if (!kEnabled || tracer == nullptr) return;
+  if (tracer == nullptr) return;
   tracer_ = tracer;
   rec_.name = std::move(name);
   rec_.span_id = tracer->next_span_id();

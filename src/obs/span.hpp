@@ -10,10 +10,9 @@
 //
 // Determinism contract: span ids, thread indices, and every duration are
 // wall-clock artifacts and therefore nondeterministic. Tracing is opt-in
-// (a null Tracer makes every Span inert), never feeds numbers back into
-// results, and compiles out with the rest of the layer when
-// KSW_OBS_ENABLED=0. Trace ids MAY be deterministic when the caller
-// derives them from stable keys (reproduce keys point spans to the
+// (a null Tracer makes every Span inert) and never feeds numbers back
+// into results. Trace ids MAY be deterministic when the caller derives
+// them from stable keys (reproduce keys point spans to the
 // checkpoint-journal manifest fingerprint, so resumed runs emit
 // stitchable traces).
 #pragma once
@@ -42,6 +41,24 @@ namespace ksw::obs {
 /// Inverse of hex_id for well-formed 1..16-char hex strings; returns 0
 /// (the "no id" value) on anything else.
 [[nodiscard]] std::uint64_t parse_hex_id(std::string_view text) noexcept;
+
+/// Fresh ksw.query/v1 trace ids for requests that arrive without one:
+/// splitmix64 over a base drawn from the wall clock and the generator's
+/// address, so ids differ across processes started in the same instant.
+/// Unique, cheap, nondeterministic by design, and never 0. Thread-safe.
+class TraceIdGenerator {
+ public:
+  TraceIdGenerator();
+
+  TraceIdGenerator(const TraceIdGenerator&) = delete;
+  TraceIdGenerator& operator=(const TraceIdGenerator&) = delete;
+
+  [[nodiscard]] std::string next();
+
+ private:
+  std::uint64_t base_;
+  std::atomic<std::uint64_t> seq_{0};
+};
 
 /// One completed span, as stored in the sink and serialized to the
 /// trace stream.

@@ -31,10 +31,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::attach_metrics(obs::Registry* registry) {
-  if constexpr (!obs::kEnabled) {
-    (void)registry;
-    return;
-  }
   if (registry == nullptr) {
     wait_timer_ = nullptr;
     run_timer_ = nullptr;
@@ -49,16 +45,14 @@ void ThreadPool::attach_metrics(obs::Registry* registry) {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  if constexpr (obs::kEnabled) {
-    if (task_counter_ != nullptr) {
-      task_counter_->inc();
-      task = [this, enqueued = std::chrono::steady_clock::now(),
-              inner = std::move(task)] {
-        wait_timer_->add(std::chrono::steady_clock::now() - enqueued);
-        obs::ScopedTimer run(*run_timer_);
-        inner();
-      };
-    }
+  if (task_counter_ != nullptr) {
+    task_counter_->inc();
+    task = [this, enqueued = std::chrono::steady_clock::now(),
+            inner = std::move(task)] {
+      wait_timer_->add(std::chrono::steady_clock::now() - enqueued);
+      obs::ScopedTimer run(*run_timer_);
+      inner();
+    };
   }
   {
     std::lock_guard lock(mu_);

@@ -44,8 +44,7 @@ class ThreadPool {
   /// ("pool.task_wait"), execution time ("pool.task_run"), a task counter
   /// ("pool.tasks"), and a "pool.workers" gauge. Pass nullptr to detach.
   /// Call only while the pool is idle; the registry must outlive the last
-  /// task submitted while attached. No-op when observability is compiled
-  /// out (KSW_OBS_ENABLED=0).
+  /// task submitted while attached.
   void attach_metrics(obs::Registry* registry);
 
  private:

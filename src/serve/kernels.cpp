@@ -150,8 +150,8 @@ sim::NetworkConfig sim_config(const Query& q, unsigned depth) {
 /// index order — the same bytes replicate_network would produce.
 ///
 /// Every emitted field derives from NetworkResults' packet counters and
-/// stage accumulators, never from the obs registry, so responses are
-/// identical whether or not the binary was built with KSW_OBS_ENABLED.
+/// stage accumulators, never from the obs registry, so responses do not
+/// depend on telemetry.
 io::Json sim_point(const Query& q, unsigned depth) {
   sim::NetworkConfig cfg = sim_config(q, depth);
   sim::NetworkResults merged;

@@ -397,15 +397,6 @@ Request Request::parse(const std::string& line,
   return req;
 }
 
-std::uint64_t fnv1a64(const std::string& text) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 namespace {
 
 /// The optional trace_id envelope field, placed right after "id" so

@@ -20,8 +20,14 @@
 #include <vector>
 
 #include "io/json.hpp"
+#include "obs/span.hpp"
 
 namespace ksw::serve {
+
+/// Longest request line, newline excluded, that serve and fleet read. A
+/// longer line ends its stream whether or not its newline has arrived:
+/// stdin mode exits with kIo, a socket connection is closed.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// The kernels a request can name. The first four are analytic
 /// (closed-form, instant); the finite-buffer pair run the cycle-accurate
@@ -131,8 +137,8 @@ struct Request {
                                      std::int64_t default_deadline_ms = 0);
 };
 
-/// 64-bit FNV-1a over the canonical request string.
-[[nodiscard]] std::uint64_t fnv1a64(const std::string& text) noexcept;
+/// 64-bit FNV-1a, hashed over the canonical request string.
+using obs::fnv1a64;
 
 /// Render a success response line (no trailing newline): the envelope
 /// around pre-serialized result bytes, which are spliced in verbatim so

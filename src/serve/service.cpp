@@ -62,8 +62,24 @@ const char* wire_kind(const std::exception& e) {
   return wire::kInternal;
 }
 
+/// A failure of one request stream: a read, poll or write error on its
+/// descriptor, or a line over kMaxLineBytes. It ends that stream only:
+/// stdin mode exits with kIo, run_listen closes the connection and keeps
+/// accepting.
+class StreamError : public ksw::Error {
+ public:
+  explicit StreamError(const std::string& message)
+      : ksw::Error(ksw::ErrorKind::kIo, message) {}
+};
+
+StreamError overlong_line() {
+  return StreamError("serve: request line longer than the " +
+                     std::to_string(kMaxLineBytes) +
+                     "-byte cap; closing the stream");
+}
+
 /// write() the whole buffer. Returns false on EPIPE/ECONNRESET (peer
-/// went away); throws kIo on any other failure.
+/// went away); throws StreamError on any other failure.
 bool write_all(int fd, const std::string& data) {
   std::size_t done = 0;
   while (done < data.size()) {
@@ -71,8 +87,8 @@ bool write_all(int fd, const std::string& data) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET) return false;
-      throw ksw::io_error(std::string("serve: write failed: ") +
-                          std::strerror(errno));
+      throw StreamError(std::string("serve: write failed: ") +
+                        std::strerror(errno));
     }
     done += static_cast<std::size_t>(n);
   }
@@ -87,15 +103,23 @@ class FdLineReader {
  public:
   explicit FdLineReader(int fd) : fd_(fd) {}
 
-  enum class Status { kLine, kEof, kCancelled };
+  enum class Status { kLine, kEof, kCancelled, kTooLong };
 
   /// Next complete line. With wait=false, never blocks: returns kEof
   /// when no complete line is buffered and no data is instantly
-  /// readable (the caller dispatches the batch it has).
+  /// readable (the caller dispatches the batch it has). kTooLong once
+  /// the next line is known to exceed kMaxLineBytes, newline or not.
   Status next_line(std::string* line, const par::CancelToken* cancel,
                    bool wait) {
     while (true) {
-      if (take_buffered_line(line)) return Status::kLine;
+      const auto nl = buf_.find('\n');
+      if ((nl == std::string::npos ? buf_.size() : nl) > kMaxLineBytes)
+        return Status::kTooLong;
+      if (nl != std::string::npos) {
+        line->assign(buf_, 0, nl);
+        buf_.erase(0, nl + 1);
+        return Status::kLine;
+      }
       if (eof_) {
         if (!buf_.empty()) {  // final line without trailing newline
           line->assign(std::move(buf_));
@@ -111,8 +135,8 @@ class FdLineReader {
       const int ready = ::poll(&pfd, 1, wait ? kPollMs : 0);
       if (ready < 0) {
         if (errno == EINTR) continue;
-        throw ksw::io_error(std::string("serve: poll failed: ") +
-                            std::strerror(errno));
+        throw StreamError(std::string("serve: poll failed: ") +
+                          std::strerror(errno));
       }
       if (ready == 0) {
         if (!wait) return Status::kEof;
@@ -122,8 +146,8 @@ class FdLineReader {
       const ssize_t n = ::read(fd_, chunk, sizeof chunk);
       if (n < 0) {
         if (errno == EINTR) continue;
-        throw ksw::io_error(std::string("serve: read failed: ") +
-                            std::strerror(errno));
+        throw StreamError(std::string("serve: read failed: ") +
+                          std::strerror(errno));
       }
       if (n == 0) {
         eof_ = true;
@@ -136,14 +160,6 @@ class FdLineReader {
   [[nodiscard]] bool eof() const noexcept { return eof_ && buf_.empty(); }
 
  private:
-  bool take_buffered_line(std::string* line) {
-    const auto nl = buf_.find('\n');
-    if (nl == std::string::npos) return false;
-    line->assign(buf_, 0, nl);
-    buf_.erase(0, nl + 1);
-    return true;
-  }
-
   int fd_;
   std::string buf_;
   bool eof_ = false;
@@ -157,13 +173,6 @@ Service::Service(ServeOptions opts)
       pool_(opts_.threads) {
   if (!opts_.access_log.empty())
     access_log_ = std::make_unique<AccessLog>(opts_.access_log);
-  // Generated trace ids must differ across processes started in the same
-  // instant-ish; they carry no meaning beyond uniqueness.
-  trace_base_ = obs::fnv1a64(
-      std::to_string(std::chrono::system_clock::now()
-                         .time_since_epoch()
-                         .count()) +
-      "/" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
   requests_ = &registry_.counter("serve.requests");
   batches_ = &registry_.counter("serve.batches");
   ok_ = &registry_.counter("serve.responses.ok");
@@ -176,22 +185,6 @@ Service::Service(ServeOptions opts)
   service_us_ = &registry_.histogram("serve.service_us", 0.0, 25.0, 400);
   queue_us_ = &registry_.histogram("serve.queue_us", 0.0, 25.0, 400);
   batch_wall_ = &registry_.timer("serve.batch_wall");
-}
-
-std::string Service::generate_trace_id() {
-  // splitmix64 over a per-process base: unique, cheap, and clearly not a
-  // simulation-derived (deterministic) quantity.
-  std::uint64_t x =
-      trace_base_ +
-      0x9e3779b97f4a7c15ull *
-          (trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  if (x == 0) x = 1;  // hex16 "0" doubles as "no id" elsewhere
-  return obs::hex_id(x);
 }
 
 void Service::serve_batch(std::vector<Request> batch, std::string* out,
@@ -297,7 +290,7 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
   par::parallel_for(pool_, n, [&](std::size_t i) {
     Request& req = batch[i];
     if (observing && req.trace_id.empty())
-      req.trace_id = generate_trace_id();
+      req.trace_id = trace_ids_.next();
     started[i] = Clock::now();
     queue_us[i] =
         std::chrono::duration<double, std::micro>(started[i] - req.arrival)
@@ -424,20 +417,27 @@ ServeSummary Service::run(std::istream& in, std::ostream& out,
       break;
     }
     std::vector<Request> batch;
+    bool too_long = false;
     while (batch.size() < opts_.batch) {
       if (!std::getline(in, line)) {
         eof = true;
         break;
       }
+      if (line.size() > kMaxLineBytes) {
+        too_long = true;
+        break;
+      }
       if (line.empty()) continue;
       batch.push_back(Request::parse(line, opts_.deadline_ms));
     }
-    if (batch.empty()) continue;
-    summary.requests += batch.size();
-    summary.responses += batch.size();
-    std::string rendered;
-    serve_batch(std::move(batch), &rendered, cancel);
-    out << rendered << std::flush;
+    if (!batch.empty()) {
+      summary.requests += batch.size();
+      summary.responses += batch.size();
+      std::string rendered;
+      serve_batch(std::move(batch), &rendered, cancel);
+      out << rendered << std::flush;
+    }
+    if (too_long) throw overlong_line();
   }
   if (cancel != nullptr && cancel->requested()) summary.interrupted = true;
   return summary;
@@ -446,6 +446,12 @@ ServeSummary Service::run(std::istream& in, std::ostream& out,
 ServeSummary Service::run_fd(int in_fd, int out_fd,
                              const par::CancelToken* cancel) {
   ServeSummary summary;
+  serve_fd(in_fd, out_fd, cancel, summary);
+  return summary;
+}
+
+void Service::serve_fd(int in_fd, int out_fd, const par::CancelToken* cancel,
+                       ServeSummary& summary) {
   FdLineReader reader(in_fd);
   std::string line;
   while (true) {
@@ -476,10 +482,10 @@ ServeSummary Service::run_fd(int in_fd, int out_fd,
       serve_batch(std::move(batch), &rendered, cancel);
       if (!write_all(out_fd, rendered)) break;  // peer disconnected
     }
+    if (status == FdLineReader::Status::kTooLong) throw overlong_line();
     if (summary.interrupted || (reader.eof())) break;
   }
   if (cancel != nullptr && cancel->requested()) summary.interrupted = true;
-  return summary;
 }
 
 ServeSummary Service::run_listen(const std::string& socket_path,
@@ -529,14 +535,13 @@ ServeSummary Service::run_listen(const std::string& socket_path,
       if (errno == EINTR) continue;
       continue;  // transient accept failure; keep serving
     }
-    const ServeSummary one = run_fd(conn, conn, cancel);
-    ::close(conn);
-    summary.requests += one.requests;
-    summary.responses += one.responses;
-    if (one.interrupted) {
-      summary.interrupted = true;
-      break;
+    try {
+      serve_fd(conn, conn, cancel, summary);
+    } catch (const StreamError&) {
+      // Ends this connection only; the listener keeps accepting.
     }
+    ::close(conn);
+    if (summary.interrupted) break;
   }
   ::close(listen_fd);
   ::unlink(socket_path.c_str());

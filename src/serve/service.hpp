@@ -69,20 +69,24 @@ class Service {
 
   /// Stream loop: getline/batch/respond until EOF. Blocking reads are
   /// not cancellation points (used by tests and regular-file input);
-  /// cancellation is observed between lines.
+  /// cancellation is observed between lines. A line over kMaxLineBytes
+  /// throws ksw::Error(kIo) after the lines before it are answered.
   ServeSummary run(std::istream& in, std::ostream& out,
                    const par::CancelToken* cancel = nullptr);
 
   /// File-descriptor loop with a poll-based line reader, so a blocked
   /// read observes cancellation within ~200 ms (stdin under a pipe, or
   /// one accepted socket connection). Responses are written to out_fd;
-  /// EPIPE on a socket peer aborts just that connection.
+  /// EPIPE on a socket peer aborts just that connection. A line over
+  /// kMaxLineBytes, or a read/write failure, throws ksw::Error(kIo)
+  /// after the requests read before it are answered.
   ServeSummary run_fd(int in_fd, int out_fd, const par::CancelToken* cancel);
 
   /// Unix-socket accept loop at `socket_path` (stale paths are
   /// unlinked, the socket is unlinked again on exit). Connections are
-  /// served sequentially, each as a JSONL stream; the loop ends only on
-  /// cancellation.
+  /// served sequentially, each as a JSONL stream; a connection whose
+  /// stream fails (see run_fd) is closed and the next one accepted. The
+  /// loop ends only on cancellation.
   ServeSummary run_listen(const std::string& socket_path,
                           const par::CancelToken* cancel);
 
@@ -100,17 +104,17 @@ class Service {
   [[nodiscard]] const ServeOptions& options() const noexcept { return opts_; }
 
  private:
-  /// Fresh trace id for a request that arrived without one (only called
-  /// when request observability is on). Nondeterministic by design.
-  [[nodiscard]] std::string generate_trace_id();
+  /// run_fd's loop, accumulating into `summary` so run_listen keeps the
+  /// counts of a connection that ends in an error.
+  void serve_fd(int in_fd, int out_fd, const par::CancelToken* cancel,
+                ServeSummary& summary);
 
   ServeOptions opts_;
   obs::Registry registry_;
   EvalCache cache_;
   par::ThreadPool pool_;
   std::unique_ptr<AccessLog> access_log_;
-  std::uint64_t trace_base_ = 0;           ///< per-process id entropy
-  std::atomic<std::uint64_t> trace_seq_{0};
+  obs::TraceIdGenerator trace_ids_;  ///< for requests arriving without one
 
   obs::Counter* requests_ = nullptr;
   obs::Counter* batches_ = nullptr;

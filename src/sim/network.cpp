@@ -453,8 +453,8 @@ NetworkResults run_network(const NetworkConfig& cfg) {
 
   const bool sampled = !cfg.service.is_unit();
   const bool finite = cfg.buffer_capacity > 0;
-  const bool instr = (obs::kEnabled && cfg.obs.enabled) ||
-                     cfg.track_stage_histograms || cfg.track_correlations;
+  const bool instr = cfg.obs.enabled || cfg.track_stage_histograms ||
+                     cfg.track_correlations;
   const bool wide = sampled || cfg.track_correlations ||
                     cfg.warmup_cycles + cfg.measure_cycles >=
                         std::int64_t{std::numeric_limits<std::uint32_t>::max()};

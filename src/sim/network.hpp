@@ -73,8 +73,7 @@ enum class FlowControl {
 
 /// Telemetry knobs for run_network. Everything here is additive: results
 /// used by the paper-reproduction paths are untouched whether or not
-/// telemetry is on, and the whole block is dead code when observability
-/// is compiled out (KSW_OBS_ENABLED=0).
+/// telemetry is on.
 struct ObsConfig {
   /// Collect per-stage telemetry (occupancy histograms, peak depth,
   /// service starts, drops/blocks) and phase timers into
@@ -87,9 +86,6 @@ struct ObsConfig {
   /// Number of warmup-convergence checkpoints spread evenly over the whole
   /// run (warmup + measurement); 0 disables the trace.
   unsigned trace_points = 24;
-  /// Fixed occupancy-histogram range: buckets 0,1,...,occupancy_buckets-1
-  /// waiting packets, deeper queues land in the overflow bucket.
-  unsigned occupancy_buckets = 64;
 };
 
 struct NetworkConfig {

@@ -71,9 +71,6 @@ void validate(const NetworkConfig& cfg) {
     if (c == 0 || c > cfg.stages)
       throw std::invalid_argument(
           "run_network: total checkpoint outside [1, stages]");
-  if (cfg.obs.enabled && cfg.obs.occupancy_buckets == 0)
-    throw std::invalid_argument(
-        "run_network: obs.occupancy_buckets must be >= 1");
   if (cfg.flow != FlowControl::kCutThrough && cfg.buffer_capacity == 0)
     throw std::invalid_argument(
         std::string("run_network: flow control \"") + to_string(cfg.flow) +
@@ -109,9 +106,17 @@ std::string stage_metric(unsigned stage, const char* what) {
   return buf;
 }
 
+namespace {
+
+/// Fixed occupancy-histogram range: buckets 0,1,...,63 waiting packets;
+/// deeper queues land in the overflow bucket.
+constexpr std::size_t kOccupancyBuckets = 64;
+
+}  // namespace
+
 void ObsState::init(const NetworkConfig& cfg, unsigned n,
                     std::int64_t total_cycles, NetworkResults& out) {
-  on = obs::kEnabled && cfg.obs.enabled;
+  on = cfg.obs.enabled;
   tally.assign(on ? n : 0, StageTally{});
   if (on) {
     sobs.resize(n);
@@ -119,7 +124,7 @@ void ObsState::init(const NetworkConfig& cfg, unsigned n,
       const unsigned label = s + 1;
       sobs[s].occupancy =
           &out.metrics.histogram(stage_metric(label, "occupancy"), 0.0, 1.0,
-                                 cfg.obs.occupancy_buckets);
+                                 kOccupancyBuckets);
       sobs[s].peak = &out.metrics.gauge(stage_metric(label, "peak_depth"));
       sobs[s].starts =
           &out.metrics.counter(stage_metric(label, "service_starts"));

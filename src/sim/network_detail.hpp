@@ -140,7 +140,7 @@ struct StageTally {
 
 /// All per-run telemetry state: metric handles, event tallies, and the
 /// warmup-convergence trace. Dead weight (empty vectors, false flags) when
-/// telemetry is off or compiled out.
+/// telemetry is off.
 struct ObsState {
   bool on = false;
   std::vector<StageObs> sobs;

@@ -19,7 +19,6 @@ NetworkResults replicate_network(const NetworkConfig& base,
                                  unsigned replicates, par::ThreadPool& pool) {
   if (replicates == 0)
     throw std::invalid_argument("replicate_network: replicates == 0");
-  const bool obs_on = obs::kEnabled && base.obs.enabled;
   // Static contiguous-chunk sharding: replicates are equal-cost, so one
   // chunk per worker beats dynamic index stealing, and each replicate's
   // seed depends only on its index — results land in parts[i] regardless
@@ -35,8 +34,9 @@ NetworkResults replicate_network(const NetworkConfig& base,
     // Index-order merge keeps every aggregate bit-identical for a fixed
     // seed regardless of thread count; the timer makes the reduction cost
     // visible in run reports.
-    obs::ScopedTimer timer(
-        obs_on ? &merged.metrics.timer("sim.phase.merge") : nullptr);
+    obs::ScopedTimer timer(base.obs.enabled
+                               ? &merged.metrics.timer("sim.phase.merge")
+                               : nullptr);
     for (unsigned i = 1; i < replicates; ++i) merged.merge(parts[i]);
   }
   return merged;

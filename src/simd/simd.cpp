@@ -55,27 +55,14 @@ Level active_level() noexcept {
   return detected;
 }
 
-void force_level(Level level) noexcept {
+ScopedForceLevel::ScopedForceLevel(Level level) noexcept
+    : previous_(g_override.load(std::memory_order_relaxed)) {
   if (!cpu_supports(level)) level = Level::kScalar;
   g_override.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-void clear_forced_level() noexcept {
-  g_override.store(-1, std::memory_order_relaxed);
-}
-
-ScopedForceLevel::ScopedForceLevel(Level level) noexcept {
-  const int prev = g_override.load(std::memory_order_relaxed);
-  had_override_ = prev >= 0;
-  previous_ = had_override_ ? static_cast<Level>(prev) : Level::kScalar;
-  force_level(level);
-}
-
 ScopedForceLevel::~ScopedForceLevel() {
-  if (had_override_)
-    force_level(previous_);
-  else
-    clear_forced_level();
+  g_override.store(previous_, std::memory_order_relaxed);
 }
 
 }  // namespace ksw::simd

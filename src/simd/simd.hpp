@@ -34,16 +34,10 @@ enum class Level {
 /// True when the CPU supports `level` (ignores KSW_SIMD and overrides).
 [[nodiscard]] bool cpu_supports(Level level) noexcept;
 
-/// Process-wide override, e.g. from the --simd CLI flag: kScalar for
-/// --simd=off. Passing a level the CPU lacks clamps to scalar.
-void force_level(Level level) noexcept;
-
-/// Drop back to env/CPU selection (undoes force_level).
-void clear_forced_level() noexcept;
-
-/// RAII override for tests: forces a level on construction, restores the
-/// previous selection on destruction. Not thread-safe against concurrent
-/// dispatch changes (tests force before spawning work).
+/// RAII override for tests: forces a level on construction (a level the
+/// CPU lacks clamps to scalar), restores the previous selection on
+/// destruction. Not thread-safe against concurrent dispatch changes
+/// (tests force before spawning work).
 class ScopedForceLevel {
  public:
   explicit ScopedForceLevel(Level level) noexcept;
@@ -53,8 +47,7 @@ class ScopedForceLevel {
   ScopedForceLevel& operator=(const ScopedForceLevel&) = delete;
 
  private:
-  bool had_override_;
-  Level previous_;
+  int previous_;  ///< the override being replaced; -1 when none
 };
 
 }  // namespace ksw::simd

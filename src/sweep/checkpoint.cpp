@@ -8,6 +8,7 @@
 
 #include "io/atomic.hpp"
 #include "io/json.hpp"
+#include "obs/span.hpp"
 #include "support/error.hpp"
 
 namespace ksw::sweep {
@@ -315,15 +316,7 @@ Journal::ShardKey shard_key_from_json(const io::Json& j) {
 }  // namespace
 
 std::string manifest_fingerprint(const std::string& raw_text) {
-  // FNV-1a 64.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : raw_text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  std::ostringstream os;
-  os << std::hex << h;
-  return os.str();
+  return obs::hex_id(obs::fnv1a64(raw_text));
 }
 
 Journal::Journal(std::string path, std::string fingerprint)

@@ -40,7 +40,8 @@
 
 namespace ksw::sweep {
 
-/// Stable fingerprint of a manifest file's raw text (FNV-1a 64, hex).
+/// Stable fingerprint of a manifest file's raw text (FNV-1a 64, as 16
+/// lowercase hex digits).
 /// Any edit to the manifest — even whitespace — invalidates a journal,
 /// because grid indices and budgets may have shifted.
 [[nodiscard]] std::string manifest_fingerprint(const std::string& raw_text);

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace ksw::cli {
@@ -221,8 +220,6 @@ TEST(Simulate, RejectsUnsortedCheckpoints) {
 }
 
 TEST(Simulate, MetricsReportOnStdout) {
-  if constexpr (!obs::kEnabled)
-    GTEST_SKIP() << "observability compiled out";
   const auto r = invoke({"simulate", "--stages=3", "--cycles=1500",
                          "--format=csv", "--metrics-out=-"});
   EXPECT_EQ(r.code, 0);
@@ -252,8 +249,6 @@ TEST(Simulate, MetricsReportIdenticalAcrossThreadCounts) {
 }
 
 TEST(Simulate, ObsWallOptsIntoPoolTelemetry) {
-  if constexpr (!obs::kEnabled)
-    GTEST_SKIP() << "observability compiled out";
   const auto r = invoke({"simulate", "--stages=3", "--cycles=1000",
                          "--replicates=2", "--threads=2", "--format=csv",
                          "--metrics-out=-", "--obs-wall"});
@@ -332,6 +327,14 @@ TEST(Simulate, RngFlagIsGone) {
   EXPECT_NE(r.err.find("unknown option --rng"), std::string::npos);
 }
 
+TEST(Simulate, SimdFlagIsGone) {
+  // KSW_SIMD is the one spelling of the kernel-level override.
+  const auto r = invoke({"simulate", "--stages=3", "--cycles=200",
+                         "--simd=off"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown option --simd"), std::string::npos);
+}
+
 // Guard against README/usage drift: every option the simulate parser
 // accepts must be mentioned in the help text (and thus in README's table,
 // which mirrors it).
@@ -344,7 +347,6 @@ TEST(Usage, MentionsEverySimulateOption) {
       "--topology=",  "--service=",  "--cycles=",   "--warmup=",
       "--seed=",      "--replicates=", "--threads=",
       "--buffer-capacity=", "--flow=", "--credit-latency=",
-      "--simd=",
       "--correlations", "--checkpoints=",
       "--metrics-out=", "--obs-stride=", "--obs-trace=", "--obs-wall",
       "--format="};

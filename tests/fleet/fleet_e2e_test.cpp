@@ -573,8 +573,17 @@ TEST(FleetE2E, ClientVanishingMidResponseLeavesOthersServed) {
   EXPECT_EQ(fleet.stop(), 130);
 }
 
+/// A valid first_stage request padded with blanks to `bytes` bytes.
+std::string padded_request(int id, std::size_t bytes) {
+  const std::string request = R"({"id":)" + std::to_string(id) +
+                              R"(,"kernel":"first_stage","params":{"p":0.5}})";
+  std::string padded = request;
+  padded.insert(padded.size() - 1, bytes - request.size(), ' ');
+  return padded;
+}
+
 TEST(FleetE2E, OverlongLineClosesOnlyThatConnection) {
-  constexpr std::size_t kMaxLine = std::size_t{1} << 20;  // max_line_bytes
+  constexpr std::size_t kMaxLine = ksw::serve::kMaxLineBytes;
   FleetProc fleet;
   fleet.start({"--workers=2"});
   const int good = fleet.connect_client();
@@ -591,10 +600,7 @@ TEST(FleetE2E, OverlongLineClosesOnlyThatConnection) {
 
   // A valid request padded to just under the cap is answered normally
   // on the connection that was open all along.
-  const std::string request =
-      R"({"id":7,"kernel":"first_stage","params":{"p":0.5}})";
-  std::string padded = request;
-  padded.insert(padded.size() - 1, kMaxLine - 64 - request.size(), ' ');
+  const std::string padded = padded_request(7, kMaxLine - 64);
   ASSERT_LT(padded.size(), kMaxLine);
   send_all(good, padded + "\n");
   const auto lines = read_lines(good, 1);
@@ -603,6 +609,47 @@ TEST(FleetE2E, OverlongLineClosesOnlyThatConnection) {
   EXPECT_NE(lines[0].find(R"("id":7)"), std::string::npos) << lines[0];
   EXPECT_NE(lines[0].find(R"("ok":true)"), std::string::npos) << lines[0];
   EXPECT_EQ(fleet.stop(), 130);
+}
+
+TEST(FleetE2E, TracedLinesAreCappedAfterTraceIdInjection) {
+  constexpr std::size_t kMaxLine = ksw::serve::kMaxLineBytes;
+  const std::string trace_out =
+      (std::filesystem::temp_directory_path() /
+       ("ksw_fleet_cap_trace_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  FleetProc fleet;
+  fleet.start({"--workers=1", "--trace-out=" + trace_out});
+
+  // Just under the cap, the injected trace_id still fits: answered.
+  const int fits = fleet.connect_client();
+  send_all(fits, padded_request(1, kMaxLine - 64) + "\n");
+  auto lines = read_lines(fits, 1);
+  ::close(fits);
+  ASSERT_EQ(lines.size(), 1u) << fleet.stderr_text();
+  EXPECT_NE(lines[0].find(R"("ok":true)"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(R"("trace_id":")"), std::string::npos) << lines[0];
+
+  // At the cap, injection would push the forwarded line past it: the
+  // supervisor ends that stream instead of handing the worker a line it
+  // would reject, and the worker is not restarted.
+  const int over = fleet.connect_client();
+  send_nosignal(over, padded_request(2, kMaxLine) + "\n");
+  bool eof = false;
+  const auto answered = read_until_eof(over, &eof);
+  ::close(over);
+  EXPECT_TRUE(eof) << "over-cap forwarded line did not close the connection";
+  EXPECT_TRUE(answered.empty()) << answered.front().substr(0, 200);
+
+  const int after = fleet.connect_client();
+  send_all(after, padded_request(3, 64) + "\n");
+  lines = read_lines(after, 1);
+  ::close(after);
+  ASSERT_EQ(lines.size(), 1u) << fleet.stderr_text();
+  EXPECT_NE(lines[0].find(R"("ok":true)"), std::string::npos) << lines[0];
+  EXPECT_EQ(fleet.stop(), 130);
+  EXPECT_EQ(fleet.stderr_text().find("restarting"), std::string::npos)
+      << fleet.stderr_text();
+  std::filesystem::remove(trace_out);
 }
 
 }  // namespace

@@ -244,11 +244,9 @@ TEST(ObsDeterminism, ReportBitIdenticalAcross1_2_8Threads) {
   }
   EXPECT_EQ(reports[0], reports[1]);
   EXPECT_EQ(reports[0], reports[2]);
-  if constexpr (kEnabled) {
-    EXPECT_NE(reports[0].find("sim.stage01.occupancy"), std::string::npos);
-    EXPECT_NE(reports[0].find("sim.phase.warmup"), std::string::npos);
-    EXPECT_NE(reports[0].find("sim.phase.merge"), std::string::npos);
-  }
+  EXPECT_NE(reports[0].find("sim.stage01.occupancy"), std::string::npos);
+  EXPECT_NE(reports[0].find("sim.phase.warmup"), std::string::npos);
+  EXPECT_NE(reports[0].find("sim.phase.merge"), std::string::npos);
 }
 
 TEST(ObsDeterminism, MergedTraceEqualsPointwiseSums) {
@@ -260,8 +258,6 @@ TEST(ObsDeterminism, MergedTraceEqualsPointwiseSums) {
   cfg.measure_cycles = 800;
   cfg.obs.enabled = true;
   cfg.obs.trace_points = 4;
-
-  if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out";
 
   cfg.seed = sim::replicate_seed(5, 0);
   const sim::NetworkResults a = sim::run_network(cfg);

@@ -13,12 +13,6 @@
 namespace ksw::obs {
 namespace {
 
-// Span emission is a no-op when the layer is compiled out
-// (KSW_OBS_ENABLED=OFF); tests that need emitted records skip there.
-// Pure helpers (ids, render/parse/summarize) stay live either way.
-#define KSW_REQUIRE_OBS()                                          \
-  if constexpr (!kEnabled) GTEST_SKIP() << "observability compiled out"
-
 std::vector<SpanRecord> by_name(const Tracer& tracer,
                                 const std::string& name) {
   std::vector<SpanRecord> out;
@@ -69,7 +63,6 @@ TEST(Span, InertWhenDefaultConstructedOrNullTracer) {
 }
 
 TEST(Span, RecordsNameLabelsAndPositiveIds) {
-  KSW_REQUIRE_OBS();
   Tracer tracer;
   {
     Span s = tracer.span("work");
@@ -88,7 +81,6 @@ TEST(Span, RecordsNameLabelsAndPositiveIds) {
 }
 
 TEST(Span, EndIsIdempotent) {
-  KSW_REQUIRE_OBS();
   Tracer tracer;
   Span s = tracer.span("once");
   s.end();
@@ -97,7 +89,6 @@ TEST(Span, EndIsIdempotent) {
 }
 
 TEST(Span, NestingLinksParentAndInheritsTrace) {
-  KSW_REQUIRE_OBS();
   Tracer tracer;
   {
     Span outer = tracer.span("outer", /*trace_id=*/0x1234);
@@ -123,7 +114,6 @@ TEST(Span, NestingLinksParentAndInheritsTrace) {
 }
 
 TEST(Span, SiblingsShareAParentButNotEachOther) {
-  KSW_REQUIRE_OBS();
   Tracer tracer;
   {
     Span parent = tracer.span("parent");
@@ -142,7 +132,6 @@ TEST(Span, SiblingsShareAParentButNotEachOther) {
 }
 
 TEST(Span, DifferentThreadsDoNotInheritEachOthersParents) {
-  KSW_REQUIRE_OBS();
   Tracer tracer;
   Span outer = tracer.span("outer");
   std::thread([&tracer] { Span other = tracer.span("other-thread"); })
@@ -154,7 +143,6 @@ TEST(Span, DifferentThreadsDoNotInheritEachOthersParents) {
 }
 
 TEST(Span, MoveTransfersOwnershipWithoutDoubleEmit) {
-  KSW_REQUIRE_OBS();
   Tracer tracer;
   {
     Span a = tracer.span("moved");
@@ -170,7 +158,6 @@ TEST(Span, MoveTransfersOwnershipWithoutDoubleEmit) {
 // ---------------------------------------------------------------------------
 
 TEST(Tracer, OverflowDropsNewestAndCounts) {
-  KSW_REQUIRE_OBS();
   Tracer tracer(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
     Span s = tracer.span("s" + std::to_string(i));
@@ -186,7 +173,6 @@ TEST(Tracer, OverflowDropsNewestAndCounts) {
 }
 
 TEST(Tracer, ConcurrentEmitLosesNothingBelowCapacity) {
-  KSW_REQUIRE_OBS();
   Tracer tracer(/*capacity=*/4096);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
@@ -232,8 +218,8 @@ TEST(TraceExport, RenderIsAPureFunctionOfTheRecordSet) {
 }
 
 TEST(TraceExport, RoundTripsThroughJsonl) {
-  // Hand-built records keep this live under KSW_OBS_ENABLED=OFF: the
-  // serializers are pure functions, independent of span emission.
+  // Hand-built records: the serializers are pure functions, independent
+  // of span emission.
   SpanRecord outer = make_record("outer", 11, 100);
   outer.trace_id = 7;
   outer.labels.emplace_back("key", "va\"lue");  // exercises escaping

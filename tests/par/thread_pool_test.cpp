@@ -125,21 +125,15 @@ TEST(ThreadPool, AttachMetricsRecordsTaskTelemetry) {
     pool.submit([&] { counter.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 20);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("pool.tasks").value(), 20u);
-    EXPECT_DOUBLE_EQ(reg.gauge("pool.workers").value(), 2.0);
-    EXPECT_EQ(reg.timer("pool.task_run").calls(), 20u);
-    EXPECT_EQ(reg.timer("pool.task_wait").calls(), 20u);
-  } else {
-    EXPECT_TRUE(reg.empty());
-  }
+  EXPECT_EQ(reg.counter("pool.tasks").value(), 20u);
+  EXPECT_DOUBLE_EQ(reg.gauge("pool.workers").value(), 2.0);
+  EXPECT_EQ(reg.timer("pool.task_run").calls(), 20u);
+  EXPECT_EQ(reg.timer("pool.task_wait").calls(), 20u);
   // Detach: later tasks leave the registry untouched.
   pool.attach_metrics(nullptr);
   pool.submit([] {});
   pool.wait_idle();
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("pool.tasks").value(), 20u);
-  }
+  EXPECT_EQ(reg.counter("pool.tasks").value(), 20u);
 }
 
 TEST(ParallelFor, AbortOnErrorSkipsPendingIndices) {

@@ -186,8 +186,6 @@ TEST(AccessLogE2E, RepeatedTupleIsMarkedCachedWithItsShard) {
 }
 
 TEST(AccessLogE2E, SpansShareTheRowsTraceId) {
-  if constexpr (!obs::kEnabled)
-    GTEST_SKIP() << "observability compiled out";
   obs::Tracer tracer;
   std::vector<io::Json> rows;
   serve_with_log(

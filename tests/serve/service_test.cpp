@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -18,6 +19,7 @@
 
 #include "io/json.hpp"
 #include "par/cancel.hpp"
+#include "support/error.hpp"
 
 namespace ksw::serve {
 namespace {
@@ -28,6 +30,39 @@ std::vector<std::string> lines_of(const std::string& text) {
   std::string line;
   while (std::getline(ss, line)) out.push_back(line);
   return out;
+}
+
+/// Connect to a Unix socket, retrying while the listener comes up;
+/// returns -1 when it never does.
+int connect_unix(const std::string& path) {
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) == 0)
+      return fd;
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Read until EOF (or ECONNRESET); false when `timeout` passes first.
+bool read_until_eof(int fd, std::string* out,
+                    std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  char buf[4096];
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) return true;
+    out->append(buf, static_cast<std::size_t>(n));
+  }
+  return false;
 }
 
 /// The raw bytes of a response's `result` field (which render_ok splices
@@ -324,20 +359,7 @@ TEST(Service, RunListenServesASocketConnection) {
 
   // Connect (retrying until the listener is up), send two requests, read
   // both responses, then ask the server to shut down.
-  int fd = -1;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) == 0)
-      break;
-    ::close(fd);
-    fd = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  const int fd = connect_unix(path);
   ASSERT_GE(fd, 0) << "could not connect to " << path;
   const std::string input =
       "{\"kernel\":\"closed_form\",\"id\":1,"
@@ -364,6 +386,114 @@ TEST(Service, RunListenServesASocketConnection) {
   EXPECT_EQ(result_bytes(lines[0]), result_bytes(lines[1]));
   // The socket path is unlinked on exit.
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(Service, OverlongLineEndsTheStream) {
+  // Requests before the overlong line are answered; the line and all
+  // after it are not, on the fd loop (stdin mode) and the stream loop.
+  const std::string before = R"({"kernel":"first_stage","id":1})" "\n";
+  const std::string input = before + std::string(kMaxLineBytes + 4096, 'x') +
+                            "\n" + R"({"kernel":"first_stage","id":2})" "\n";
+  const auto expect_cap_error = [](const ksw::Error& e) {
+    EXPECT_EQ(e.kind(), ksw::ErrorKind::kIo);
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxLineBytes)),
+              std::string::npos)
+        << e.what();
+  };
+
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  std::thread writer([&] {
+    std::size_t done = 0;
+    while (done < input.size()) {
+      const ssize_t n =
+          ::write(in_pipe[1], input.data() + done, input.size() - done);
+      if (n <= 0) break;  // reader closed early: the rest is unread
+      done += static_cast<std::size_t>(n);
+    }
+    ::close(in_pipe[1]);
+  });
+  Service fd_service(ServeOptions{});
+  bool threw = false;
+  try {
+    fd_service.run_fd(in_pipe[0], out_pipe[1], nullptr);
+  } catch (const ksw::Error& e) {
+    threw = true;
+    expect_cap_error(e);
+  }
+  ::close(in_pipe[0]);  // unblocks the writer
+  writer.join();
+  ::close(out_pipe[1]);
+  EXPECT_TRUE(threw) << "run_fd answered past the overlong line";
+  std::string output;
+  ASSERT_TRUE(read_until_eof(out_pipe[0], &output, std::chrono::seconds(5)));
+  ::close(out_pipe[0]);
+  auto lines = lines_of(output);
+  ASSERT_EQ(lines.size(), 1u) << output.substr(0, 200);
+  EXPECT_EQ(io::Json::parse(lines[0]).at("id").as_int(), 1);
+
+  Service stream_service(ServeOptions{});
+  std::istringstream in(input);
+  std::ostringstream out;
+  threw = false;
+  try {
+    stream_service.run(in, out, nullptr);
+  } catch (const ksw::Error& e) {
+    threw = true;
+    expect_cap_error(e);
+  }
+  EXPECT_TRUE(threw) << "run answered past the overlong line";
+  lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(io::Json::parse(lines[0]).at("id").as_int(), 1);
+}
+
+TEST(Service, RunListenClosesAnOverlongConnectionAndKeepsAccepting) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ksw_serve_cap_test_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  Service service(ServeOptions{});
+  par::CancelToken cancel;
+  ServeSummary summary;
+  std::thread server(
+      [&] { summary = service.run_listen(path, &cancel); });
+
+  // No newline ever arrives: the server closes once the cap is passed.
+  const int abuser = connect_unix(path);
+  ASSERT_GE(abuser, 0) << "could not connect to " << path;
+  const std::string flood(kMaxLineBytes + 4096, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(abuser, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string answered;
+  const bool closed =
+      read_until_eof(abuser, &answered, std::chrono::seconds(5));
+  ::close(abuser);
+  EXPECT_TRUE(closed) << "overlong line did not close the connection";
+  EXPECT_TRUE(answered.empty()) << answered.substr(0, 200);
+
+  const int next = connect_unix(path);
+  ASSERT_GE(next, 0);
+  const std::string request = R"({"kernel":"first_stage","id":9})" "\n";
+  ASSERT_EQ(::write(next, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ::shutdown(next, SHUT_WR);
+  std::string output;
+  EXPECT_TRUE(read_until_eof(next, &output, std::chrono::seconds(5)));
+  ::close(next);
+  cancel.request();
+  server.join();
+  const auto lines = lines_of(output);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(io::Json::parse(lines[0]).at("id").as_int(), 9);
+  EXPECT_TRUE(io::Json::parse(lines[0]).at("ok").as_bool());
 }
 
 TEST(Service, MultiThreadedRepeatedTuplesStayBitIdentical) {

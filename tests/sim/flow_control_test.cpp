@@ -159,7 +159,6 @@ TEST(FlowControl, BlockedCyclesAreCountedPerStage) {
   // Head-of-line blocking shows up in the per-stage obs counters; under
   // kCredit the dedicated credit_stalls counter mirrors the blocked
   // tally (every denial is a missing credit).
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   NetworkConfig cfg = base_config();
   cfg.p = 0.9;
   cfg.buffer_capacity = 1;

@@ -66,6 +66,12 @@ TEST(ManifestFingerprint, StableAndSensitive) {
   EXPECT_FALSE(manifest_fingerprint(text).empty());
 }
 
+TEST(ManifestFingerprint, IsFnv1a64) {
+  // Known answers: the FNV-1a 64 offset basis for "", one round for "a".
+  EXPECT_EQ(manifest_fingerprint(""), "cbf29ce484222325");
+  EXPECT_EQ(manifest_fingerprint("a"), "af63dc4c8601ec8c");
+}
+
 TEST_F(JournalTest, RoundTripsPointResultsBitExactly) {
   const PointResult original = sample_result();
   {
