@@ -19,6 +19,8 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/later_stages.hpp"
 #include "fault/plan.hpp"
@@ -273,11 +275,21 @@ int cmd_simulate(const ArgMap& args, std::ostream& out, std::ostream& err) {
         totals.print(out);
       }
       if (cfg.track_correlations && r.stage_covariance) {
-        tables::Table corr("\nNeighbor-stage correlations",
-                           {"stages", "correlation"});
-        for (unsigned s = 0; s + 1 < cfg.stages; ++s)
-          corr.begin_row(std::to_string(s + 1) + "-" + std::to_string(s + 2))
-              .add_number(r.stage_covariance->correlation(s, s + 1), 5);
+        // The paper's Table VI layout: row i, column j > i holds
+        // corr(w_i, w_j).
+        std::vector<std::string> headers = {"stage"};
+        for (unsigned j = 2; j <= cfg.stages; ++j)
+          headers.push_back(std::to_string(j));
+        tables::Table corr("\nStage-to-stage correlations", headers);
+        for (unsigned i = 0; i + 1 < cfg.stages; ++i) {
+          corr.begin_row(std::to_string(i + 1));
+          for (unsigned j = 1; j < cfg.stages; ++j) {
+            if (j <= i)
+              corr.add_blank();
+            else
+              corr.add_number(r.stage_covariance->correlation(i, j), 5);
+          }
+        }
         corr.print(out);
       }
       out << "packets: injected=" << r.packets_injected

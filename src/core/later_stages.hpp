@@ -71,7 +71,8 @@ struct LaterStageOptions {
   /// Section IV-D: w_inf(q) = (1 + mean_coeff*rho/k)(1 + nonuni_mean_slope*q)
   /// * w1_exact(q). Calibrated against this repo's simulator at rho = 0.5,
   /// k = 2 (the paper's own fitting procedure; its printed coefficients are
-  /// illegible). Re-fit with bench/ext_calibration for other regimes.
+  /// illegible). The book's favorite-output-stages section gates it against
+  /// the simulator; core::fit_linear_slope re-fits it for other regimes.
   double nonuni_mean_slope = -0.15;
   double nonuni_var_slope = -0.27;  ///< same shape for the variance
 };

@@ -16,9 +16,6 @@ namespace ksw::sweep {
 namespace {
 
 constexpr const char* kSchema = "ksw.checkpoint/v2";
-/// v1 journals carry the same point records and no shards; loading one
-/// just means a resumed run recomputes any interrupted point wholesale.
-constexpr const char* kSchemaV1 = "ksw.checkpoint/v1";
 
 /// Bit-exact double encoding. io::Json prints numbers with 12 significant
 /// digits — fine for reports, fatal for a journal whose whole point is
@@ -344,7 +341,7 @@ Journal Journal::load_or_create(std::string path, std::string fingerprint) {
     try {
       if (!saw_header) {
         const std::string schema = doc.at("schema").as_string();
-        if (schema != kSchema && schema != kSchemaV1)
+        if (schema != kSchema)
           throw io_error("checkpoint: " + path + ": unknown schema '" +
                          schema + "' (expected " + kSchema + ")");
         const std::string recorded = doc.at("fingerprint").as_string();

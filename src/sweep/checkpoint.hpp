@@ -17,7 +17,7 @@
 // (exact integer sums, strict index order) cannot tell the difference, and
 // the resumed book comes out byte-identical. Shards for a point are pruned
 // the moment the point's own record lands, so the journal stays one point
-// deep in shards. v1 journals (points only, no shards) still load.
+// deep in shards. A header with any other schema is an IO error.
 //
 // Doubles are serialized as hexfloat strings ("0x1.8p+1"), not decimal:
 // the journal must round-trip bit-exactly so a resumed run emits a book

@@ -29,8 +29,10 @@ enum class SectionKind {
   /// Eq. 11/12 per-stage mean convergence vs the full-network simulator
   /// (Section IV).
   kStageConvergence,
-  /// Section V total-waiting mean/variance and gamma-fit quantiles vs the
-  /// full-network simulator at stage checkpoints.
+  /// Section V total-waiting mean and variance (the variance also split
+  /// into summed stage variances and covariances) vs the full-network
+  /// simulator at stage checkpoints, plus informational gamma-fit rows
+  /// (p95 and binned total-variation distance; Figs. 3-8).
   kTotalDelay,
   /// Finite-buffer flow control vs the infinite-queue model: blocking
   /// probability (accept ratio) and last-stage waiting across a buffer

@@ -9,6 +9,7 @@
 #include "sim/first_stage_sim.hpp"
 #include "sim/replicate.hpp"
 #include "stats/confidence.hpp"
+#include "stats/goodness_of_fit.hpp"
 #include "support/error.hpp"
 #include "sweep/checkpoint.hpp"
 
@@ -16,7 +17,10 @@ namespace ksw::sweep {
 
 void Cell::judge(const Tolerance& tol) {
   const double diff = std::abs(simulated - analytic);
-  rel_error = diff / std::max(std::abs(analytic), 1e-12);
+  // A zero target (a distance whose perfect value is 0) has no scale to be
+  // relative to, so the column carries the absolute difference instead.
+  rel_error = analytic == 0.0 ? diff
+                              : diff / std::max(std::abs(analytic), 1e-12);
   if (!gated) {
     pass = true;
     return;
@@ -319,12 +323,47 @@ PointResult run_total_delay_point(const Section& section, const Point& pt,
                                      half_width(samples, level), false, true,
                                      section.tol));
 
+    // Var[total] split into its two modelled parts: the per-stage
+    // variances (eqs. 13/16) and twice the inter-stage covariances (the
+    // Section V constants a, b), the latter simulated as the remainder.
+    const auto stage_variance_sum = [n](const sim::NetworkResults& r) {
+      double sum = 0.0;
+      for (unsigned i = 0; i < n; ++i) sum += r.stage_wait[i].variance();
+      return sum;
+    };
+    const double var_independent = td.variance_total(false);
+    const double sim_stage_sum = stage_variance_sum(run.merged);
+    for (std::size_t i = 0; i < run.parts.size(); ++i)
+      samples[i] = stage_variance_sum(run.parts[i]);
+    result.cells.push_back(make_cell(
+        prefix + "ΣVar[stage]", var_independent, sim_stage_sum,
+        half_width(samples, level), false, true, section.tol));
+    for (std::size_t i = 0; i < run.parts.size(); ++i)
+      samples[i] = run.parts[i].total_wait[c].variance() - samples[i];
+    result.cells.push_back(make_cell(
+        prefix + "2ΣCov[stages]", td.variance_total() - var_independent,
+        run.merged.total_wait[c].variance() - sim_stage_sum,
+        half_width(samples, level), false, true, section.tol));
+
     // Gamma-fit tail check (informational: the empirical quantile is
     // integer-valued, so a pass/fail gate would flap on the rounding).
+    const stats::GammaDistribution gamma = td.gamma_approximation();
+    const stats::IntHistogram& hist = run.merged.total_wait[c];
     result.cells.push_back(make_cell(
-        prefix + "p95", td.gamma_approximation().quantile(0.95),
-        static_cast<double>(run.merged.total_wait[c].quantile(0.95)), 0.0,
-        true, false, section.tol));
+        prefix + "p95", gamma.quantile(0.95),
+        static_cast<double>(hist.quantile(0.95)), 0.0, true, false,
+        section.tol));
+
+    // Shape of the whole distribution (Figs. 3-8): total-variation
+    // distance to the gamma over ~18 equal bins covering 99.5% of the
+    // mass. Informational: the fit's quality varies too much across the
+    // paper's grid for one bound to mean anything.
+    const std::int64_t w_hi = std::max<std::int64_t>(hist.quantile(0.995), 1);
+    const std::int64_t width = std::max<std::int64_t>(1, (w_hi + 17) / 18);
+    result.cells.push_back(make_cell(
+        prefix + "binned TV(gamma)", 0.0,
+        stats::binned_total_variation(hist, gamma, width), 0.0, true, false,
+        section.tol));
   }
   return result;
 }

@@ -25,7 +25,7 @@ struct Cell {
   double analytic = 0.0;  ///< model prediction
   double simulated = 0.0; ///< merged-replicate point estimate
   double ci_half = 0.0;   ///< CI half-width at the section's ci_level
-  double rel_error = 0.0; ///< |sim - analytic| / max(|analytic|, 1e-12)
+  double rel_error = 0.0; ///< |sim - analytic| / |analytic| (absolute if 0)
   bool mean_like = true;  ///< gates with mean_rel (else var_rel)
   bool gated = true;      ///< informational cells carry no pass/fail
   bool pass = true;

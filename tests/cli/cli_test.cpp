@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -193,6 +194,25 @@ TEST(Simulate, SmallRunProducesStats) {
   EXPECT_NE(r.out.find("\"per_stage\""), std::string::npos);
   EXPECT_NE(r.out.find("\"totals\""), std::string::npos);
   EXPECT_NE(r.out.find("\"packets_delivered\""), std::string::npos);
+}
+
+TEST(Simulate, CorrelationsPrintTheStageMatrix) {
+  // Table VI layout: row i holds corr(w_i, w_j) for every j > i, so lags
+  // beyond 1 are printed too.
+  const auto r = invoke({"simulate", "--stages=4", "--cycles=2000",
+                         "--correlations"});
+  EXPECT_EQ(r.code, 0);
+  const auto table = r.out.find("Stage-to-stage correlations");
+  ASSERT_NE(table, std::string::npos);
+  EXPECT_NE(r.out.find("| stage |", table), std::string::npos);
+  std::istringstream lines(r.out.substr(table));
+  std::string line;
+  int numbers_in_row1 = -1;
+  while (std::getline(lines, line))
+    if (line.rfind("| 1 ", 0) == 0)
+      numbers_in_row1 = static_cast<int>(std::count(line.begin(), line.end(),
+                                                    '.'));
+  EXPECT_EQ(numbers_in_row1, 3);  // lags 1, 2 and 3 from stage 1
 }
 
 TEST(Simulate, ReplicatesAreDeterministic) {

@@ -137,7 +137,7 @@ TEST_F(JournalTest, FingerprintMismatchIsUsageError) {
 TEST_F(JournalTest, CorruptJournalIsIoError) {
   {
     std::ofstream out(path_, std::ios::binary);
-    out << "{\"schema\":\"ksw.checkpoint/v1\",\"fingerprint\":\"fp\"}\n";
+    out << "{\"schema\":\"ksw.checkpoint/v2\",\"fingerprint\":\"fp\"}\n";
     out << "this is not json\n";
   }
   try {
@@ -290,13 +290,13 @@ TEST_F(JournalTest, NonShardableResultsAreSkipped) {
   EXPECT_FALSE(journal.find_network_shard({"a", 0, "net", 0}).has_value());
 }
 
-TEST_F(JournalTest, LoadsV1JournalsWithoutShards) {
+TEST_F(JournalTest, RejectsV1Header) {
   {
     Journal journal(path_, "fp");
     journal.record("uniform", 2, sample_result());
   }
-  // Rewrite the header as v1: exactly what an interrupted pre-shard run
-  // left behind. It must load (points intact, zero shards).
+  // Rewrite the header as v1, the shardless format of pre-shard runs. Its
+  // fingerprint matches, so only the schema check can turn it away.
   std::stringstream buffer;
   buffer << std::ifstream(path_).rdbuf();
   std::string text = buffer.str();
@@ -304,10 +304,15 @@ TEST_F(JournalTest, LoadsV1JournalsWithoutShards) {
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 17, "ksw.checkpoint/v1");
   std::ofstream(path_, std::ios::binary) << text;
-  const Journal reloaded = Journal::load_or_create(path_, "fp");
-  EXPECT_EQ(reloaded.size(), 1u);
-  EXPECT_EQ(reloaded.shard_count(), 0u);
-  EXPECT_TRUE(reloaded.has("uniform", 2));
+  try {
+    Journal::load_or_create(path_, "fp");
+    FAIL() << "expected ksw::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kIo);
+    EXPECT_NE(std::string(e.what()).find("ksw.checkpoint/v2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(JournalTest, RemoveFileIsIdempotent) {

@@ -100,11 +100,55 @@ TEST(Runner, TotalDelayEmitsCheckpointCells) {
   const SectionResult r = run_section(m.sections[2], pool);
   ASSERT_EQ(r.points.size(), 1u);
   const auto& cells = r.points[0].cells;
-  ASSERT_EQ(cells.size(), 6u);  // 2 checkpoints x (mean, var, p95)
+  // 2 checkpoints x (mean, var, stage-variance sum, covariance, p95, TV).
+  ASSERT_EQ(cells.size(), 12u);
   EXPECT_EQ(cells[0].metric, "n=2 E[total]");
   EXPECT_EQ(cells[1].metric, "n=2 Var[total]");
-  EXPECT_FALSE(cells[2].gated);  // p95 is informational
+  EXPECT_EQ(cells[2].metric, "n=2 ΣVar[stage]");
+  EXPECT_EQ(cells[3].metric, "n=2 2ΣCov[stages]");
+  EXPECT_EQ(cells[4].metric, "n=2 p95");
+  EXPECT_EQ(cells[5].metric, "n=2 binned TV(gamma)");
+  EXPECT_EQ(cells[6].metric, "n=3 E[total]");
   EXPECT_FALSE(cells[1].mean_like);
+  EXPECT_FALSE(cells[2].mean_like);
+  EXPECT_FALSE(cells[3].mean_like);
+  EXPECT_TRUE(cells[2].gated);
+  EXPECT_TRUE(cells[3].gated);
+  EXPECT_FALSE(cells[4].gated);  // p95 is informational
+  EXPECT_EQ(r.cells_gated(), 8u);
+}
+
+TEST(Runner, TotalDelayVarianceSplitsIntoStagesAndCovariance) {
+  const Manifest m = tiny_manifest();
+  par::ThreadPool pool(2);
+  const SectionResult r = run_section(m.sections[2], pool);
+  ASSERT_EQ(r.points.size(), 1u);
+  const auto& cells = r.points[0].cells;
+  ASSERT_EQ(cells.size(), 12u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    const Cell& var = cells[6 * c + 1];
+    const Cell& stages = cells[6 * c + 2];
+    const Cell& cov = cells[6 * c + 3];
+    const Cell& tv = cells[6 * c + 5];
+    const auto near = [](double a, double b) {
+      return std::abs(a - b) <= 1e-9 * std::abs(b);
+    };
+    // Both columns decompose Var[total] exactly: the model by
+    // construction, the simulation because the covariance is the remainder.
+    EXPECT_TRUE(near(stages.analytic + cov.analytic, var.analytic));
+    EXPECT_TRUE(near(stages.simulated + cov.simulated, var.simulated));
+    // The inter-stage covariances are positive in both.
+    EXPECT_GT(cov.analytic, 0.0);
+    EXPECT_GT(cov.simulated, 0.0);
+    EXPECT_GT(stages.ci_half, 0.0);
+    EXPECT_GT(cov.ci_half, 0.0);
+    // The binned TV distance is ungated and reported in absolute terms.
+    EXPECT_FALSE(tv.gated);
+    EXPECT_EQ(tv.analytic, 0.0);
+    EXPECT_GT(tv.simulated, 0.0);
+    EXPECT_LT(tv.simulated, 1.0);
+    EXPECT_DOUBLE_EQ(tv.rel_error, tv.simulated);
+  }
 }
 
 TEST(Runner, FiniteBufferGatesOnlyTheDeepestDepth) {
