@@ -5,6 +5,7 @@
 //                  [--format=table|json|csv]
 #include <memory>
 #include <ostream>
+#include <vector>
 
 #include "core/first_stage.hpp"
 #include "io/csv.hpp"
@@ -54,6 +55,8 @@ int cmd_analyze(const ArgMap& args, std::ostream& out, std::ostream& err) {
 
   const core::FirstStage first(queue);
   const auto m = first.moments();
+  const std::vector<double> dist =
+      dist_len > 0 ? first.distribution(dist_len) : std::vector<double>{};
 
   switch (format) {
     case Format::kTable: {
@@ -70,9 +73,10 @@ int cmd_analyze(const ArgMap& args, std::ostream& out, std::ostream& err) {
       table.print(out);
       if (dist_len > 0) {
         tables::Table dist_table("P(wait = j)", {"j", "probability"});
-        const auto dist = first.distribution(dist_len);
         for (std::size_t j = 0; j < dist.size(); ++j)
           dist_table.begin_row(std::to_string(j)).add_number(dist[j], 8);
+        dist_table.begin_row("tail").add_number(core::distribution_tail(dist),
+                                                8);
         dist_table.print(out);
       }
       break;
@@ -89,8 +93,9 @@ int cmd_analyze(const ArgMap& args, std::ostream& out, std::ostream& err) {
       doc.set("var_delay", first.variance_delay());
       if (dist_len > 0) {
         io::Json arr = io::Json::array();
-        for (double pj : first.distribution(dist_len)) arr.push_back(pj);
+        for (double pj : dist) arr.push_back(pj);
         doc.set("distribution", std::move(arr));
+        doc.set("distribution_tail", core::distribution_tail(dist));
       }
       doc.write(out, 2);
       out << '\n';
@@ -105,9 +110,10 @@ int cmd_analyze(const ArgMap& args, std::ostream& out, std::ostream& err) {
       csv.begin_row().add("var_wait").add(m.variance);
       csv.begin_row().add("skewness").add(m.skewness());
       if (dist_len > 0) {
-        const auto dist = first.distribution(dist_len);
         for (std::size_t j = 0; j < dist.size(); ++j)
           csv.begin_row().add("P(w=" + std::to_string(j) + ")").add(dist[j]);
+        csv.begin_row().add("distribution_tail").add(
+            core::distribution_tail(dist));
       }
       csv.write(out);
       break;

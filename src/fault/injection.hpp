@@ -40,8 +40,8 @@ struct SiteSpec {
 ///   point.slow           a grid point stalls for delay_ms
 ///   io.open              io::atomic_write_file fails to open the temp file
 ///   io.write             io::atomic_write_file fails mid-write
-///   series.near-singular pgf::Series::divide hits an ill-conditioned
-///                        denominator
+///   series.near-singular pgf::Series::divide or ::ratio hits an
+///                        ill-conditioned denominator
 [[nodiscard]] const std::vector<std::string>& known_sites();
 [[nodiscard]] bool is_known_site(const std::string& site);
 

@@ -77,22 +77,42 @@ Series Series::mul(const Series& a, const Series& b) {
   return out;
 }
 
-Series Series::divide(const Series& num, const Series& den) {
-  if (num.length() != den.length())
-    throw std::invalid_argument("Series::divide: length mismatch");
+namespace {
+
+// The shared guard of divide() and ratio(). Both multiply every quotient
+// coefficient by 1/den[0], so a leading coefficient at (or within rounding
+// noise of) zero must fail loudly instead of amplifying into inf/nan.
+void check_leading(const char* who, long double den0) {
   // Deterministic fault site: pretend the constant term collapsed, so the
   // near-singular reporting path can be exercised without crafting a
   // genuinely ill-conditioned model.
   const bool injected_singular = fault::should_fire("series.near-singular");
-  if (injected_singular || std::abs(den.c_[0]) < kDivideEpsilon) {
+  const double magnitude = static_cast<double>(std::abs(den0));
+  if (injected_singular || magnitude < Series::kDivideEpsilon) {
     std::ostringstream msg;
-    msg << "Series::divide: |den[0]| = " << std::abs(den.c_[0]) << " < "
-        << kDivideEpsilon
+    msg << who << ": |den[0]| = " << magnitude << " < "
+        << Series::kDivideEpsilon
         << " (ill-conditioned power-series division; the queue is at or "
            "beyond saturation)";
     if (injected_singular) msg << " [injected: series.near-singular]";
     throw numeric_error(msg.str());
   }
+}
+
+// static_cast<double>, without the x87 underflow assist (~0.2 us a term)
+// that a decaying tail pays once it leaves the double range: magnitudes at
+// or below half the smallest subnormal round to a signed zero.
+double round_to_double(long double x) {
+  if (std::fabs(x) <= 0x1p-1075L) return std::signbit(x) ? -0.0 : 0.0;
+  return static_cast<double>(x);
+}
+
+}  // namespace
+
+Series Series::divide(const Series& num, const Series& den) {
+  if (num.length() != den.length())
+    throw std::invalid_argument("Series::divide: length mismatch");
+  check_leading("Series::divide", den.c_[0]);
   const std::size_t n = num.length();
   Series q(n);
   const double inv0 = 1.0 / den.c_[0];
@@ -104,17 +124,23 @@ Series Series::divide(const Series& num, const Series& den) {
   return q;
 }
 
-Series Series::compose_polynomial(std::span<const double> outer,
-                                  const Series& inner) {
-  const std::size_t n = inner.length();
-  if (outer.empty()) return Series(n);
-  // Horner: result = outer[d] ; result = result*inner + outer[d-1] ; ...
-  Series result = Series::constant(outer.back(), n);
-  for (std::size_t i = outer.size() - 1; i-- > 0;) {
-    result = mul(result, inner);
-    result.c_[0] += outer[i];
+Series Series::ratio(std::span<const long double> p,
+                     std::span<const long double> d, std::size_t length) {
+  if (d.empty()) throw std::invalid_argument("Series::ratio: empty D");
+  check_leading("Series::ratio", d[0]);
+  std::size_t deg = d.size() - 1;
+  while (deg > 0 && d[deg] == 0.0L) --deg;
+  Series out(length);
+  std::vector<long double> t(length);
+  const long double inv0 = 1.0L / d[0];
+  for (std::size_t n = 0; n < length; ++n) {
+    long double acc = n < p.size() ? p[n] : 0.0L;
+    const std::size_t order = std::min(n, deg);
+    for (std::size_t j = 1; j <= order; ++j) acc -= d[j] * t[n - j];
+    t[n] = acc * inv0;
+    out.c_[n] = round_to_double(t[n]);
   }
-  return result;
+  return out;
 }
 
 Series Series::pow(const Series& base, unsigned n) {

@@ -7,7 +7,9 @@
 // is a ratio of compositions of probability generating functions. Expanding
 // it as a power series around z = 0 yields the exact waiting-time
 // probabilities P(w = j) as coefficients. This module supplies the series
-// algebra (add, multiply, divide, compose) needed for that inversion.
+// algebra (add, multiply, divide) needed for that inversion, and the
+// O(N * deg D) quotient of two polynomials that inverts it whenever the
+// service PGF is a ratio of polynomials.
 //
 // All operations are truncated to a fixed length; a Series of length N
 // carries coefficients of z^0 .. z^{N-1}.
@@ -65,13 +67,16 @@ class Series {
   /// Truncated quotient num/den; requires |den[0]| >= kDivideEpsilon.
   [[nodiscard]] static Series divide(const Series& num, const Series& den);
 
-  /// Composition outer(inner(z)) where `outer` is a finite polynomial given
-  /// by its coefficients. Evaluated by Horner's rule on series, so cost is
-  /// O(deg(outer) * N^2), or O(deg(outer) * N * K) when inner's nonzeros
-  /// span K terms (a deterministic service z^m: K = 1). No constraint on
-  /// inner[0].
-  [[nodiscard]] static Series compose_polynomial(
-      std::span<const double> outer, const Series& inner);
+  /// First `length` coefficients of P/D for polynomials P and D (missing
+  /// coefficients are zero), by the order-deg(D) linear recurrence
+  ///   t_n = (p_n - sum_{j=1}^{min(n, deg D)} d_j t_{n-j}) / d_0,
+  /// accumulated in long double and rounded to double once. O(length *
+  /// deg D). When every root of D lies outside the unit disk the
+  /// recurrence damps its own round-off, so relative accuracy holds deep
+  /// into a decaying tail. Same |d[0]| guard and fault site as divide().
+  [[nodiscard]] static Series ratio(std::span<const long double> p,
+                                    std::span<const long double> d,
+                                    std::size_t length);
 
   /// Integer power by repeated squaring (truncated).
   [[nodiscard]] static Series pow(const Series& base, unsigned n);

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/closed_forms.hpp"
 #include "core/first_stage.hpp"
@@ -53,9 +54,11 @@ io::Json eval_first_stage(const Query& q) {
   result.set("mean_delay", first.mean_delay());
   result.set("var_delay", first.variance_delay());
   if (q.distribution > 0) {
+    const std::vector<double> dist = first.distribution(q.distribution);
     io::Json arr = io::Json::array();
-    for (double pj : first.distribution(q.distribution)) arr.push_back(pj);
+    for (double pj : dist) arr.push_back(pj);
     result.set("distribution", std::move(arr));
+    result.set("distribution_tail", core::distribution_tail(dist));
   }
   return result;
 }

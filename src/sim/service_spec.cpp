@@ -4,12 +4,17 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace ksw::sim {
 
 ServiceSpec ServiceSpec::deterministic(std::uint32_t m) {
   if (m == 0)
     throw std::invalid_argument("ServiceSpec::deterministic: m == 0");
+  if (m > core::kMaxServiceCycles)
+    throw std::invalid_argument("ServiceSpec::deterministic: m above " +
+                                std::to_string(core::kMaxServiceCycles) +
+                                " cycles");
   ServiceSpec s(Kind::kDeterministic);
   s.m_ = m;
   return s;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/closed_forms.hpp"
 #include "core/mg1.hpp"
@@ -56,8 +57,8 @@ TEST_P(UniformUnitSweep, DistributionReproducesMoments) {
   }
   EXPECT_NEAR(sum, 1.0, 1e-8);
   const WaitingMoments m = fs.moments();
-  // The j- and j^2-weighted sums amplify the O(N^2) floating-point
-  // accumulation of the series inversion; compare relatively.
+  // The j- and j^2-weighted sums weight the tail most; compare
+  // relatively.
   EXPECT_NEAR(mean, m.mean, 1e-5 * (1.0 + m.mean));
   EXPECT_NEAR(second - mean * mean, m.variance, 5e-3 * (1.0 + m.variance));
 }
@@ -382,6 +383,51 @@ TEST(UnfinishedWork, OverflowProbabilityDecreasesInCapacity) {
     prev = overflow;
   }
   EXPECT_LT(fs.overflow_probability(64), 1e-3);
+}
+
+TEST(FirstStage, DistributionTailIsTheMissingMass) {
+  EXPECT_EQ(distribution_tail(std::vector<double>{}), 1.0);
+  EXPECT_EQ(distribution_tail(std::vector<double>{0.5, 0.25, 0.25}), 0.0);
+  // Summed in long double: a term below half an ulp of 1 still counts.
+  EXPECT_NEAR(distribution_tail(std::vector<double>{0.75, 1e-17}), 0.25 - 1e-17,
+              1e-30);
+  const auto dist = FirstStage(uniform_unit_spec(4, 4, 0.8)).distribution(64);
+  const double tail = distribution_tail(dist);
+  EXPECT_GT(tail, 0.0);
+  EXPECT_LT(tail, 1e-6);
+}
+
+// Heavy traffic (Boon, van der Mei & Winands, arXiv:1408.0151): for uniform
+// traffic with det:m service, eq. (2) gives
+//   (1-rho) E[w] = rho (m - 1/k) / 2  ->  (m - 1/k)/2  as rho -> 1.
+// Three independent routes must agree: the moment expansion, the first
+// moment of a 2^16-term distribution, and the closed-form limit, which
+// they approach from below by exactly the factor rho. The distribution
+// must also account for all but 1e-12 of the mass: round-off in a
+// non-decaying tail would show up here first.
+TEST(HeavyTraffic, ScaledMeanWaitApproachesTheEq2Limit) {
+  constexpr unsigned k = 4;
+  for (const unsigned m : {1u, 4u})
+    for (const double rho : {0.99, 0.999}) {
+      const FirstStage fs(
+          {std::shared_ptr<ArrivalModel>(make_uniform_arrivals(k, k, rho / m)),
+           std::make_shared<DeterministicService>(m)});
+      const double limit = (m - 1.0 / k) / 2.0;
+      const double from_moments = (1.0 - fs.rho()) * fs.moments().mean;
+      const auto dist = fs.distribution(1u << 16);
+      long double mean = 0.0L;
+      for (std::size_t j = 0; j < dist.size(); ++j)
+        mean += static_cast<long double>(j) * dist[j];
+      const double from_distribution =
+          (1.0 - fs.rho()) * static_cast<double>(mean);
+      const std::string where =
+          "det:" + std::to_string(m) + " rho=" + std::to_string(rho);
+      EXPECT_NEAR(from_distribution, from_moments, 1e-9 * limit) << where;
+      EXPECT_NEAR(from_moments, fs.rho() * limit, 1e-9 * limit) << where;
+      EXPECT_LT(limit - from_moments, 1.001 * (1.0 - rho) * limit) << where;
+      EXPECT_LE(std::abs(distribution_tail(dist)), 1e-12) << where;
+      for (double x : dist) ASSERT_GE(x, 0.0) << where;
+    }
 }
 
 TEST(FirstStage, DistributionTailDecaysGeometrically) {

@@ -108,6 +108,36 @@ TEST(DeterministicService, Basics) {
   EXPECT_THROW(DeterministicService(0), std::invalid_argument);
 }
 
+TEST(ServiceModel, FiniteSupportModelsExposeTheirPmf) {
+  const auto det = DeterministicService(3).pmf();
+  ASSERT_TRUE(det.has_value());
+  EXPECT_EQ(det->support_size(), 4u);
+  EXPECT_DOUBLE_EQ(det->pmf(3), 1.0);
+  const auto multi = MultiSizeService({{4, 0.25}, {2, 0.5}, {4, 0.25}}).pmf();
+  ASSERT_TRUE(multi.has_value());
+  EXPECT_EQ(multi->support_size(), 5u);
+  EXPECT_DOUBLE_EQ(multi->pmf(2), 0.5);
+  EXPECT_DOUBLE_EQ(multi->pmf(4), 0.5);
+  const auto custom =
+      CustomService(pgf::DiscreteDistribution({0.0, 0.5, 0.5})).pmf();
+  ASSERT_TRUE(custom.has_value());
+  EXPECT_DOUBLE_EQ(custom->pmf(2), 0.5);
+  EXPECT_FALSE(GeometricService(0.5).pmf().has_value());
+  // series() is the pmf, truncated or zero-padded.
+  const auto s = MultiSizeService({{1, 0.5}, {3, 0.5}}).series(3);
+  EXPECT_EQ(s.length(), 3u);
+  EXPECT_DOUBLE_EQ(s[1], 0.5);
+  EXPECT_DOUBLE_EQ(s[2], 0.0);
+}
+
+TEST(ServiceModel, ServiceTimesAreBounded) {
+  EXPECT_NO_THROW(DeterministicService{kMaxServiceCycles});
+  EXPECT_THROW(DeterministicService{kMaxServiceCycles + 1},
+               std::invalid_argument);
+  EXPECT_THROW(MultiSizeService({{1, 0.5}, {kMaxServiceCycles + 1, 0.5}}),
+               std::invalid_argument);
+}
+
 TEST(MultiSizeService, MeanAndMoments) {
   const MultiSizeService svc({{4, 0.5}, {8, 0.5}});
   EXPECT_DOUBLE_EQ(svc.mean_service(), 6.0);

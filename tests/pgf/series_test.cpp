@@ -111,31 +111,34 @@ TEST(Series, DivideRejectsNearZeroConstant) {
   // Just above the documented threshold is accepted.
   d[0] = 2.0 * Series::kDivideEpsilon;
   EXPECT_NO_THROW(Series::divide(n, d));
+  // The polynomial quotient shares the guard.
+  const std::array<long double, 1> p = {1.0L};
+  EXPECT_THROW(Series::ratio(p, std::array<long double, 2>{1e-15L, 1.0L}, 4),
+               ksw::Error);
+  EXPECT_THROW(Series::ratio(p, std::array<long double, 2>{0.0L, 1.0L}, 4),
+               ksw::Error);
+  EXPECT_NO_THROW(Series::ratio(
+      p, std::array<long double, 2>{2.0L * Series::kDivideEpsilon, 1.0L}, 4));
 }
 
-TEST(Series, ComposePolynomialMatchesDirectExpansion) {
-  // outer(y) = 1 + y + y^2, inner = z + z^2:
-  // result = 1 + (z+z^2) + (z+z^2)^2 = 1 + z + 2z^2 + 2z^3 + z^4.
-  const std::array<double, 3> outer = {1.0, 1.0, 1.0};
-  const std::array<double, 3> inner_c = {0.0, 1.0, 1.0};
-  const Series inner(inner_c, 5);
-  const Series r = Series::compose_polynomial(outer, inner);
-  EXPECT_NEAR(r[0], 1.0, 1e-12);
-  EXPECT_NEAR(r[1], 1.0, 1e-12);
-  EXPECT_NEAR(r[2], 2.0, 1e-12);
-  EXPECT_NEAR(r[3], 2.0, 1e-12);
-  EXPECT_NEAR(r[4], 1.0, 1e-12);
-}
-
-TEST(Series, ComposeWithNonzeroInnerConstant) {
-  // outer(y) = y^2, inner = 0.5 + z -> (0.5+z)^2 = 0.25 + z + z^2.
-  const std::array<double, 3> outer = {0.0, 0.0, 1.0};
-  const std::array<double, 2> inner_c = {0.5, 1.0};
-  const Series r =
-      Series::compose_polynomial(outer, Series(inner_c, 3));
-  EXPECT_NEAR(r[0], 0.25, 1e-12);
-  EXPECT_NEAR(r[1], 1.0, 1e-12);
-  EXPECT_NEAR(r[2], 1.0, 1e-12);
+TEST(Series, RatioMatchesDivideOnPolynomials) {
+  // P = 1 + z/2 + z^2/4 + z^3/8, D = 2 - z + z^2/2: every quotient term of
+  // the O(N deg D) recurrence equals the dense divide's.
+  const std::array<long double, 4> p = {1.0L, 0.5L, 0.25L, 0.125L};
+  const std::array<long double, 4> d = {2.0L, -1.0L, 0.5L, 0.0L};
+  const std::array<double, 4> pd = {1.0, 0.5, 0.25, 0.125};
+  const std::array<double, 3> dd = {2.0, -1.0, 0.5};
+  const Series fast = Series::ratio(p, d, 32);
+  const Series dense = Series::divide(Series(pd, 32), Series(dd, 32));
+  ASSERT_EQ(fast.length(), 32u);
+  for (std::size_t i = 0; i < 32; ++i)
+    EXPECT_NEAR(fast[i], dense[i], 1e-15) << "i=" << i;
+  // 1/(1 - z/2) = sum 2^-j, exact in binary.
+  const Series geometric = Series::ratio(
+      std::array<long double, 1>{1.0L}, std::array<long double, 2>{1.0L, -0.5L},
+      8);
+  for (std::size_t i = 0; i < 8; ++i)
+    EXPECT_EQ(geometric[i], std::ldexp(1.0, -static_cast<int>(i)));
 }
 
 TEST(Series, PowMatchesRepeatedMul) {
@@ -182,16 +185,6 @@ Series dense_mul(const Series& a, const Series& b) {
     for (std::size_t j = 0; i + j < n; ++j) out[i + j] += ai * b[j];
   }
   return out;
-}
-
-/// Horner composition over dense_mul, as compose_polynomial computed it.
-Series dense_compose(const std::vector<double>& outer, const Series& inner) {
-  Series result = Series::constant(outer.back(), inner.length());
-  for (std::size_t i = outer.size() - 1; i-- > 0;) {
-    result = dense_mul(result, inner);
-    result[0] += outer[i];
-  }
-  return result;
 }
 
 bool same_bits(const Series& x, const Series& y) {
@@ -277,28 +270,6 @@ TEST(SeriesBitIdentity, MulKeepsNaNFromNonFiniteLeftOperand) {
   const Series got = Series::mul(a, b);
   EXPECT_TRUE(same_bits(got, dense_mul(a, b)));
   EXPECT_TRUE(std::isnan(got[1]));
-}
-
-TEST(SeriesBitIdentity, ComposeMatchesDenseHorner) {
-  std::mt19937_64 rng(7);
-  for (const std::size_t n : {1u, 7u, 64u, 512u, 2048u}) {
-    const std::vector<Series> ops = product_operands(n, rng);
-    for (const unsigned k : {2u, 4u, 8u}) {
-      // Binomial arrivals R(y) = (1 - p + p y)^k, the Theorem 1 outer PGF.
-      const double p = 0.7 / k;
-      std::vector<double> outer(k + 1, 0.0);
-      outer[0] = 1.0;
-      for (unsigned t = 0; t < k; ++t)
-        for (unsigned j = t + 1; j-- > 0;) {
-          outer[j + 1] += p * outer[j];
-          outer[j] *= 1.0 - p;
-        }
-      for (std::size_t x = 0; x < ops.size(); ++x)
-        ASSERT_TRUE(same_bits(Series::compose_polynomial(outer, ops[x]),
-                              dense_compose(outer, ops[x])))
-            << "n=" << n << " k=" << k << " inner " << x;
-    }
-  }
 }
 
 TEST(Series, LengthMismatchThrows) {

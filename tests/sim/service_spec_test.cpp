@@ -22,6 +22,11 @@ TEST(ServiceSpec, DeterministicSamplesConstant) {
   EXPECT_FALSE(spec.is_unit());
   EXPECT_TRUE(ServiceSpec::deterministic(1).is_unit());
   EXPECT_THROW(ServiceSpec::deterministic(0), std::invalid_argument);
+  // The analytic models hold a service pmf densely, so the spec rejects
+  // service times they cannot hold.
+  EXPECT_THROW(ServiceSpec::parse("det:2000000"), std::invalid_argument);
+  EXPECT_THROW(ServiceSpec::parse("multi:1@0.5,2000000@0.5"),
+               std::invalid_argument);
 }
 
 TEST(ServiceSpec, MultiSizeFrequenciesMatch) {
