@@ -378,7 +378,9 @@ void Supervisor::handle_request(std::size_t slot, std::string line) {
   c.outstanding++;
   p.arrival = arrival;
   p.deadline_ms = req.deadline_ms;
-  p.id = req.id;
+  // A copy, move-assigned: GCC 12 flags a variant copy-assignment here
+  // as maybe-uninitialized once complete() is inlined below.
+  p.id = io::Json(req.id);
   p.trace_id = req.trace_id;
 
   if (!req.valid()) {
@@ -509,7 +511,7 @@ void Supervisor::complete(Pending& pending, std::string response_line,
                         ? micros_since(pending.forwarded_at)
                         : 0.0;
     entry.deadline_ms = pending.deadline_ms;
-    access_log_->write({entry});
+    access_log_->write(serve::render_access_entry(entry) + '\n');
   }
 
   if (pending.client_slot >= clients_.size()) return;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -175,22 +176,25 @@ std::size_t Json::size() const {
 
 namespace {
 
+/// JSON text of a number into `buf`; returns its end. Integral values
+/// below 1e15 print as integers, the rest as printf "%.12g" in the C
+/// locale (the bytes `os << std::setprecision(12) << d` produced). 12
+/// significant digits fit in 32 chars.
+char* format_number(char (&buf)[32], double d) {
+  if (!std::isfinite(d)) {  // JSON has no NaN/inf
+    std::memcpy(buf, "null", 4);
+    return buf + 4;
+  }
+  if (d == std::floor(d) && std::abs(d) < 1e15)
+    return std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d)).ptr;
+  return std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general,
+                       12)
+      .ptr;
+}
+
 void write_number(std::ostream& os, double d) {
-  if (!std::isfinite(d)) {
-    os << "null";  // JSON has no NaN/inf
-    return;
-  }
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    os << static_cast<long long>(d);
-    return;
-  }
-  // to_chars general format with a precision is printf "%.12g" in the C
-  // locale — the bytes `os << std::setprecision(12) << d` produced — without
-  // a stream per number. 12 significant digits fit in 32 chars.
   char buf[32];
-  const auto res =
-      std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 12);
-  os.write(buf, res.ptr - buf);
+  os.write(buf, format_number(buf, d) - buf);
 }
 
 void write_pad(std::ostream& os, int indent, int depth) {
@@ -250,6 +254,11 @@ void Json::write(std::ostream& os, int indent) const {
 }
 
 std::string Json::to_string(int indent) const {
+  // A number skips the stream: request ids are rendered once a response.
+  if (const auto* d = std::get_if<double>(&value_)) {
+    char buf[32];
+    return std::string(buf, format_number(buf, *d));
+  }
   std::ostringstream os;
   write(os, indent);
   return os.str();

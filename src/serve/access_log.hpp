@@ -20,7 +20,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "io/json.hpp"
 
@@ -54,8 +54,9 @@ class AccessLog {
   AccessLog(const AccessLog&) = delete;
   AccessLog& operator=(const AccessLog&) = delete;
 
-  /// Append one row per entry and flush.
-  void write(const std::vector<AccessEntry>& entries);
+  /// Append rows rendered by render_access_entry, each ending in '\n',
+  /// and flush. Callers render off the lock (the service on its workers).
+  void write(std::string_view rows);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 

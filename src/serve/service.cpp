@@ -210,7 +210,8 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
   // char, not bool: workers write neighbouring elements concurrently, and
   // vector<bool> packs them into shared words.
   std::vector<char> succeeded(n, 0);
-  std::vector<AccessEntry> entries(observing ? n : 0);
+  // Access-log rows, rendered by the worker that answers the request.
+  std::vector<std::string> rows(access_log_ != nullptr ? n : 0);
   std::vector<double> service_us(n, 0.0);
   std::vector<double> queue_us(n, 0.0);
   std::vector<Clock::time_point> started(n);
@@ -225,10 +226,9 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
     if (opts_.tracer != nullptr) {
       // Worker threads have no open parent; link the batch explicitly so
       // the request nests under it in trace viewers.
+      const std::uint64_t hex = obs::parse_hex_id(req.trace_id);
       span = obs::Span(opts_.tracer, "serve.request",
-                       obs::parse_hex_id(req.trace_id) != 0
-                           ? obs::parse_hex_id(req.trace_id)
-                           : obs::fnv1a64(req.trace_id));
+                       hex != 0 ? hex : obs::fnv1a64(req.trace_id));
       span.label("kernel",
                  req.valid() ? kernel_name(req.query.kernel) : "invalid");
     }
@@ -245,8 +245,8 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
       span.label("cached", cached ? "true" : "false");
       if (!succeeded[i]) span.label("error", error_kind ? error_kind : "?");
     }
-    if (observing) {
-      AccessEntry& entry = entries[i];
+    if (!rows.empty()) {
+      AccessEntry entry;
       entry.trace_id = req.trace_id;
       entry.id = req.id;
       if (req.valid()) entry.kernel = kernel_name(req.query.kernel);
@@ -258,6 +258,7 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
       entry.queue_us = queue_us[i];
       entry.eval_us = service_us[i];
       entry.deadline_ms = req.deadline_ms;
+      rows[i] = render_access_entry(entry);
     }
   };
 
@@ -403,7 +404,14 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
     out->append(responses[i]);
     out->push_back('\n');
   }
-  if (access_log_ != nullptr) access_log_->write(entries);
+  if (access_log_ != nullptr) {
+    std::string block;
+    for (const std::string& row : rows) {
+      block += row;
+      block += '\n';
+    }
+    access_log_->write(block);
+  }
 }
 
 ServeSummary Service::run(std::istream& in, std::ostream& out,

@@ -92,6 +92,22 @@ TEST(AccessEntry, RendersErrorRowWithNullKernelAndDeadline) {
             R"("queue_us":0.000,"eval_us":0.000,"deadline_ms":50})");
 }
 
+// The timing fields are printf "%.3f" bytes, ties and large values
+// included.
+TEST(AccessEntry, RendersTimesAsPrintfFixedThree) {
+  for (const double us : {0.0, 0.0005, 0.0015, 0.0625, 1.0 / 3.0, 2.675,
+                          12.3456789, 999999.9995, 1e15, -4.0}) {
+    AccessEntry entry;
+    entry.queue_us = us;
+    entry.eval_us = us * 7.0;
+    char want[128];
+    std::snprintf(want, sizeof want, R"("queue_us":%.3f,"eval_us":%.3f})",
+                  us < 0.0 ? 0.0 : us, us < 0.0 ? 0.0 : us * 7.0);
+    const std::string row = render_access_entry(entry);
+    EXPECT_EQ(row.substr(row.find("\"queue_us\"")), want) << us;
+  }
+}
+
 TEST(AccessLog, ThrowsIoErrorOnUnwritablePath) {
   EXPECT_THROW(AccessLog("/nonexistent-dir/x/y.jsonl"), Error);
 }
