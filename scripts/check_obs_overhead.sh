@@ -9,33 +9,50 @@
 #          baseline, so the per-request access log and spans never cost
 #          more than the 10% budget.
 #
-#   scripts/check_obs_overhead.sh [build-dir] [repeats] [sim|serve|all]
+#   scripts/check_obs_overhead.sh [build-dir] [pairs] [sim|serve|all]
 #
-# Each mode runs `repeats` times (default 3) and the best rate is
-# compared, so scheduler noise biases both sides the same way.
+# Off and on run as `pairs` interleaved pairs (default 3), back to back,
+# with the order swapped every other pair; the gate reads the median of
+# the per-pair on/off ratios. A slow spell on a shared machine then hits
+# both halves of a pair instead of one whole block of runs.
 set -euo pipefail
 
 build_dir="${1:-build}"
-repeats="${2:-3}"
+pairs="${2:-3}"
 section="${3:-all}"
 
-best_of() {
-  # best_of CMD... — max of `repeats` runs of CMD (CMD prints one number).
-  local best=0 v
-  for _ in $(seq "$repeats"); do
-    v=$("$@")
-    if awk -v a="$v" -v b="$best" 'BEGIN { exit !(a > b) }'; then
-      best="$v"
+median_ratio() {
+  # median_ratio LABEL PROBE — median over `pairs` of (PROBE on) / (PROBE
+  # off); PROBE MODE prints one rate.
+  local label="$1" probe="$2" ratios="" off on ratio
+  for i in $(seq "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then
+      off=$("$probe" off)
+      on=$("$probe" on)
+    else
+      on=$("$probe" on)
+      off=$("$probe" off)
     fi
+    if [ -z "$off" ] || [ -z "$on" ]; then
+      echo "check_obs_overhead: $label probe printed no rate" >&2
+      exit 2
+    fi
+    ratio=$(awk -v on="$on" -v off="$off" 'BEGIN { printf "%.4f", on / off }')
+    echo "$label pair $i: off=$off on=$on ratio=$ratio" >&2
+    ratios="$ratios$ratio"$'\n'
   done
-  echo "$best"
+  printf '%s' "$ratios" | sort -g | awk '
+    { r[NR] = $1 }
+    END {
+      if (NR % 2) printf "%.4f\n", r[(NR + 1) / 2]
+      else printf "%.4f\n", (r[NR / 2] + r[NR / 2 + 1]) / 2
+    }'
 }
 
 gate_ratio() {
-  # gate_ratio LABEL OFF ON — fail when ON/OFF < 0.90.
-  local label="$1" off="$2" on="$3" ratio
-  ratio=$(awk -v on="$on" -v off="$off" 'BEGIN { printf "%.4f", on / off }')
-  echo "$label overhead check: off=$off, on=$on, ratio=$ratio"
+  # gate_ratio LABEL RATIO — fail when the median on/off ratio < 0.90.
+  local label="$1" ratio="$2"
+  echo "$label overhead check: median on/off ratio over $pairs pairs = $ratio"
   if awk -v r="$ratio" 'BEGIN { exit !(r < 0.90) }'; then
     echo "FAIL: $label telemetry-enabled throughput below 90% of baseline" >&2
     exit 1
@@ -55,7 +72,8 @@ if [ "$section" = "sim" ] || [ "$section" = "all" ]; then
       sed -n 's/^BENCH_perf\.json .*"cycles_per_sec":\([0-9.eE+-]*\).*/\1/p' |
       head -n 1
   }
-  gate_ratio "sim" "$(best_of sim_probe off)" "$(best_of sim_probe on)"
+  ratio=$(median_ratio sim sim_probe)
+  gate_ratio sim "$ratio"
 fi
 
 if [ "$section" = "serve" ] || [ "$section" = "all" ]; then
@@ -69,13 +87,14 @@ if [ "$section" = "serve" ] || [ "$section" = "all" ]; then
   # qps_cached is the hot path: memoized lookups are where a per-request
   # log row + span could dominate the request's own cost.
   serve_probe() {
-    "$serve_bin" --quick --no-gate "$@" |
+    local flags=(--quick --no-gate)
+    if [ "$1" = on ]; then flags+=("--access-log=$work/access.jsonl"); fi
+    "$serve_bin" "${flags[@]}" |
       sed -n 's/^BENCH_serve\.json .*"qps_cached":\([0-9.eE+-]*\).*/\1/p' |
       head -n 1
   }
-  off=$(best_of serve_probe)
-  on=$(best_of serve_probe "--access-log=$work/access.jsonl")
-  gate_ratio "serve" "$off" "$on"
+  ratio=$(median_ratio serve serve_probe)
+  gate_ratio serve "$ratio"
 fi
 
 echo "OK: enabled-mode overhead within the 10% budget"

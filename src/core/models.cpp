@@ -135,14 +135,6 @@ std::string CustomArrivals::describe() const { return "custom-arrivals"; }
 // ServiceModel
 // ---------------------------------------------------------------------------
 
-pgf::Series ServiceModel::series(std::size_t length) const {
-  const auto dist = pmf();
-  if (!dist)
-    throw std::logic_error(describe() +
-                           ": infinite support needs a series() override");
-  return dist->to_series(length);
-}
-
 ServiceModel::Rational ServiceModel::rational() const {
   const auto dist = pmf();
   if (!dist)
@@ -267,16 +259,6 @@ pgf::MomentTuple GeometricService::moments() const {
 
 ServiceModel::Rational GeometricService::rational() const {
   return Rational{{0.0, mu_}, {1.0, -(1.0 - mu_)}};
-}
-
-pgf::Series GeometricService::series(std::size_t length) const {
-  pgf::Series s(length);
-  double mass = mu_;
-  for (std::size_t j = 1; j < length; ++j) {
-    s[j] = mass;
-    mass *= (1.0 - mu_);
-  }
-  return s;
 }
 
 double GeometricService::eval(double z) const {

@@ -16,7 +16,6 @@
 
 #include "pgf/distribution.hpp"
 #include "pgf/moments.hpp"
-#include "pgf/series.hpp"
 
 namespace ksw::core {
 
@@ -70,10 +69,6 @@ class ServiceModel {
   /// Theorem 1's transform a ratio of two polynomials, inverted in
   /// O(N * deg). A model with infinite support overrides it.
   [[nodiscard]] virtual Rational rational() const;
-
-  /// Service-time PGF as a truncated power series of the given length.
-  /// Derived from pmf(); a model with infinite support overrides it.
-  [[nodiscard]] virtual pgf::Series series(std::size_t length) const;
 
   /// Average service time m = U'(1).
   [[nodiscard]] double mean_service() const { return moments().d1; }
@@ -194,7 +189,6 @@ class GeometricService final : public ServiceModel {
 
   [[nodiscard]] pgf::MomentTuple moments() const override;
   [[nodiscard]] Rational rational() const override;
-  [[nodiscard]] pgf::Series series(std::size_t length) const override;
   [[nodiscard]] double eval(double z) const override;
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] double mu() const noexcept { return mu_; }

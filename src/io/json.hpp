@@ -67,7 +67,8 @@ class Json {
   /// Array element access; throws std::invalid_argument out of range.
   [[nodiscard]] const Json& at(std::size_t index) const;
 
-  /// Serialize. `indent` > 0 pretty-prints with that many spaces.
+  /// Serialize. `indent` > 0 pretty-prints with that many spaces;
+  /// `write` streams the bytes `to_string` returns.
   void write(std::ostream& os, int indent = 0) const;
   [[nodiscard]] std::string to_string(int indent = 0) const;
 
@@ -84,12 +85,28 @@ class Json {
     std::vector<std::pair<std::string, Json>> members;
   };
 
-  void write_impl(std::ostream& os, int indent, int depth) const;
+  void write_impl(std::string& out, int indent, int depth) const;
 
   Value value_;
 };
 
 /// Escape a string for embedding in JSON (without surrounding quotes).
 [[nodiscard]] std::string json_escape(const std::string& s);
+
+/// Append the JSON text of a number, as Json(d) renders it: null for NaN
+/// and infinities, integral magnitudes below 1e15 as integers, anything
+/// else as printf "%.12g" in the C locale.
+void append_number(std::string& out, double d);
+
+namespace detail {
+
+/// append_number's "%.12g" fast path: one 64x64 -> 128-bit multiply of
+/// d's mantissa by a tabulated power of ten. Writes into `buf` (at least
+/// 32 chars) and returns the end, or nullptr when d is zero or not
+/// finite, too near a rounding tie to decide, or out of the table's
+/// range; the caller then formats with std::to_chars.
+[[nodiscard]] char* format_g12_fast(char* buf, double d) noexcept;
+
+}  // namespace detail
 
 }  // namespace ksw::io

@@ -62,8 +62,4 @@ MomentTuple DiscreteDistribution::moments() const noexcept {
   return MomentTuple::from_pmf(p_);
 }
 
-Series DiscreteDistribution::to_series(std::size_t length) const {
-  return Series(p_, length);
-}
-
 }  // namespace ksw::pgf

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "pgf/moments.hpp"
-#include "pgf/series.hpp"
 
 namespace ksw::pgf {
 
@@ -32,7 +31,6 @@ class DiscreteDistribution {
   [[nodiscard]] double mean() const noexcept;
   [[nodiscard]] double variance() const noexcept;
   [[nodiscard]] MomentTuple moments() const noexcept;
-  [[nodiscard]] Series to_series(std::size_t length) const;
 
  private:
   std::vector<double> p_;

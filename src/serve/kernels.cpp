@@ -1,6 +1,7 @@
 #include "serve/kernels.hpp"
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,7 +40,10 @@ core::NetworkTrafficSpec traffic_spec(const Query& q) {
   return spec;
 }
 
-io::Json eval_first_stage(const Query& q) {
+/// The moments go through io::Json; the N distribution terms are appended
+/// straight from the term vector, in the same key order, since one
+/// io::Json node per term cost more than formatting it.
+std::string eval_first_stage(const Query& q) {
   const core::FirstStage first(first_stage_queue(q));
   const auto m = first.moments();
   io::Json result = io::Json::object();
@@ -53,14 +57,21 @@ io::Json eval_first_stage(const Query& q) {
   result.set("skewness", m.skewness());
   result.set("mean_delay", first.mean_delay());
   result.set("var_delay", first.variance_delay());
-  if (q.distribution > 0) {
-    const std::vector<double> dist = first.distribution(q.distribution);
-    io::Json arr = io::Json::array();
-    for (double pj : dist) arr.push_back(pj);
-    result.set("distribution", std::move(arr));
-    result.set("distribution_tail", core::distribution_tail(dist));
+  std::string out = result.to_string();
+  if (q.distribution == 0) return out;
+  const std::vector<double> dist = first.distribution(q.distribution);
+  // A number renders in at most 24 chars ("-1.23456789012e-308,").
+  out.reserve(out.size() + 24 * (dist.size() + 1) + 64);
+  out.pop_back();  // reopen the object
+  out += ",\"distribution\":[";
+  for (std::size_t j = 0; j < dist.size(); ++j) {
+    if (j > 0) out += ',';
+    io::append_number(out, dist[j]);
   }
-  return result;
+  out += "],\"distribution_tail\":";
+  io::append_number(out, core::distribution_tail(dist));
+  out += '}';
+  return out;
 }
 
 io::Json eval_later_stages(const Query& q) {
@@ -244,26 +255,27 @@ io::Json eval_buffer_sweep(const Query& q) {
 
 }  // namespace
 
-io::Json evaluate(const Query& query) {
-  switch (query.kernel) {
-    case Kernel::kFirstStage:
-      return eval_first_stage(query);
-    case Kernel::kLaterStages:
-      return eval_later_stages(query);
-    case Kernel::kClosedForm:
-      return eval_closed_form(query);
-    case Kernel::kTotalDelay:
-      return eval_total_delay(query);
-    case Kernel::kFiniteBuffer:
-      return eval_finite_buffer(query);
-    case Kernel::kBufferSweep:
-      return eval_buffer_sweep(query);
-  }
-  throw ksw::usage_error("kernel: unknown");
-}
-
 std::string evaluate_bytes(const Query& query) {
-  return evaluate(query).to_string();
+  std::string bytes = [&] {
+    switch (query.kernel) {
+      case Kernel::kFirstStage:
+        return eval_first_stage(query);
+      case Kernel::kLaterStages:
+        return eval_later_stages(query).to_string();
+      case Kernel::kClosedForm:
+        return eval_closed_form(query).to_string();
+      case Kernel::kTotalDelay:
+        return eval_total_delay(query).to_string();
+      case Kernel::kFiniteBuffer:
+        return eval_finite_buffer(query).to_string();
+      case Kernel::kBufferSweep:
+        return eval_buffer_sweep(query).to_string();
+    }
+    throw ksw::usage_error("kernel: unknown");
+  }();
+  // The cache keeps these bytes: drop the growth slack of appending.
+  bytes.shrink_to_fit();
+  return bytes;
 }
 
 }  // namespace ksw::serve

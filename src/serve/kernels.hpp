@@ -1,5 +1,5 @@
-// Kernel evaluation for the query service: a canonical Query in, a JSON
-// result object out.
+// Kernel evaluation for the query service: a canonical Query in, the
+// compact bytes of its JSON result object out.
 //
 // Every kernel is a pure function of the parameter tuple — no randomness,
 // no wall clock — which is what makes the evaluation cache sound: the
@@ -9,17 +9,16 @@
 // std::invalid_argument -> "usage", anything else -> "internal").
 #pragma once
 
-#include "io/json.hpp"
+#include <string>
+
 #include "serve/query.hpp"
 
 namespace ksw::serve {
 
-/// Evaluate one query against the analytic core. Throws on model
-/// rejection (saturated load, ill-conditioned series, bad spec).
-[[nodiscard]] io::Json evaluate(const Query& query);
-
-/// evaluate() serialized to the compact bytes the cache stores and the
-/// response envelope splices in verbatim.
+/// Evaluate one query against the analytic core, serialized to the
+/// compact bytes the cache stores and the response envelope splices in
+/// verbatim. Throws on model rejection (saturated load, ill-conditioned
+/// series, bad spec).
 [[nodiscard]] std::string evaluate_bytes(const Query& query);
 
 }  // namespace ksw::serve

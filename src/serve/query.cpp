@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "sim/service_spec.hpp"
 #include "support/error.hpp"
@@ -412,15 +413,18 @@ std::string trace_field(const std::string& trace_id) {
 std::string render_ok(const io::Json& id, Kernel kernel, bool cached,
                       const std::string& result_bytes,
                       const std::string& trace_id) {
-  std::string line =
-      "{\"id\":" + id.to_string() + trace_field(trace_id) + ",\"ok\":true,";
-  line += "\"kernel\":\"";
-  line += kernel_name(kernel);
-  line += "\",\"cached\":";
-  line += cached ? "true" : "false";
-  line += ",\"result\":";
-  line += result_bytes;
-  line += "}";
+  const std::string id_text = id.to_string();
+  const std::string trace = trace_field(trace_id);
+  const std::string_view parts[] = {
+      "{\"id\":", id_text, trace, ",\"ok\":true,\"kernel\":\"",
+      kernel_name(kernel), "\",\"cached\":", cached ? "true" : "false",
+      ",\"result\":", result_bytes, "}"};
+  // One allocation and one copy of the result bytes.
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string line;
+  line.reserve(size);
+  for (const std::string_view part : parts) line += part;
   return line;
 }
 

@@ -79,9 +79,6 @@ struct Case {
   std::size_t length = 2048;
 };
 
-// Every finite service here takes at most 8 cycles.
-constexpr std::size_t kSupport = 64;
-
 struct Oracle {
   QPoly wait;        ///< P(w = j)
   QPoly unfinished;  ///< P(s = j)
@@ -99,8 +96,8 @@ Oracle oracle(const Case& c) {
     a = {0, c.mu};
     b = {1, -(1.0 - c.mu)};
   } else {
-    const pgf::Series series = c.spec.service->series(kSupport);
-    a.assign(series.coefficients().begin(), series.coefficients().end());
+    const auto pmf = c.spec.service->pmf();
+    a.assign(pmf->pmf().begin(), pmf->pmf().end());
     while (a.back() == 0) a.pop_back();
   }
   const std::size_t k = r.size() - 1;

@@ -101,9 +101,10 @@ TEST(DeterministicService, Basics) {
   const DeterministicService svc(3);
   EXPECT_DOUBLE_EQ(svc.mean_service(), 3.0);
   EXPECT_DOUBLE_EQ(svc.moments().d2, 6.0);
-  const auto s = svc.series(6);
-  EXPECT_DOUBLE_EQ(s[3], 1.0);
-  EXPECT_DOUBLE_EQ(s[0], 0.0);
+  const auto s = svc.pmf();
+  ASSERT_TRUE(s.has_value());
+  EXPECT_DOUBLE_EQ(s->pmf(3), 1.0);
+  EXPECT_DOUBLE_EQ(s->pmf(0), 0.0);
   EXPECT_NEAR(svc.eval(0.5), 0.125, 1e-15);
   EXPECT_THROW(DeterministicService(0), std::invalid_argument);
 }
@@ -123,11 +124,12 @@ TEST(ServiceModel, FiniteSupportModelsExposeTheirPmf) {
   ASSERT_TRUE(custom.has_value());
   EXPECT_DOUBLE_EQ(custom->pmf(2), 0.5);
   EXPECT_FALSE(GeometricService(0.5).pmf().has_value());
-  // series() is the pmf, truncated or zero-padded.
-  const auto s = MultiSizeService({{1, 0.5}, {3, 0.5}}).series(3);
-  EXPECT_EQ(s.length(), 3u);
-  EXPECT_DOUBLE_EQ(s[1], 0.5);
-  EXPECT_DOUBLE_EQ(s[2], 0.0);
+  // rational() is the pmf over 1.
+  const auto r = MultiSizeService({{1, 0.5}, {3, 0.5}}).rational();
+  EXPECT_EQ(r.num.size(), 4u);
+  EXPECT_DOUBLE_EQ(r.num[1], 0.5);
+  EXPECT_DOUBLE_EQ(r.num[2], 0.0);
+  EXPECT_EQ(r.den, std::vector<double>{1.0});
 }
 
 TEST(ServiceModel, ServiceTimesAreBounded) {
@@ -143,9 +145,10 @@ TEST(MultiSizeService, MeanAndMoments) {
   EXPECT_DOUBLE_EQ(svc.mean_service(), 6.0);
   // U''(1) = 0.5*4*3 + 0.5*8*7 = 6 + 28 = 34.
   EXPECT_DOUBLE_EQ(svc.moments().d2, 34.0);
-  const auto s = svc.series(10);
-  EXPECT_DOUBLE_EQ(s[4], 0.5);
-  EXPECT_DOUBLE_EQ(s[8], 0.5);
+  const auto s = svc.pmf();
+  ASSERT_TRUE(s.has_value());
+  EXPECT_DOUBLE_EQ(s->pmf(4), 0.5);
+  EXPECT_DOUBLE_EQ(s->pmf(8), 0.5);
 }
 
 TEST(MultiSizeService, ValidatesInput) {
@@ -167,8 +170,15 @@ TEST(GeometricService, MomentsMatchClosedForm) {
 }
 
 TEST(GeometricService, SeriesMatchesPmf) {
-  const GeometricService svc(0.4);
-  const auto s = svc.series(10);
+  // The power series of rational() = num / den, term by term.
+  const auto r = GeometricService(0.4).rational();
+  std::vector<double> s(10);
+  for (std::size_t j = 0; j < s.size(); ++j) {
+    double acc = j < r.num.size() ? r.num[j] : 0.0;
+    for (std::size_t i = 1; i <= j && i < r.den.size(); ++i)
+      acc -= r.den[i] * s[j - i];
+    s[j] = acc / r.den[0];
+  }
   EXPECT_DOUBLE_EQ(s[0], 0.0);
   double mass = 0.4;
   for (std::size_t j = 1; j < 10; ++j) {

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
 namespace ksw::io {
 namespace {
@@ -98,6 +102,193 @@ TEST(JsonNumber, EdgeCases) {
             "null");
   for (const double d : {-0.0, 1e15, -1e15, 100000000000.5, 2.5e-310})
     EXPECT_EQ(Json(d).to_string(), reference_number(d));
+}
+
+/// printf "%.12g" and std::to_chars(general, 12) of d, which must agree.
+std::string printf_g12(double d) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.12g", d);
+  return buf;
+}
+
+std::string to_chars_g12(double d) {
+  char buf[64];
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 12)
+          .ptr;
+  return std::string(buf, end);
+}
+
+/// append_number against both "%.12g" references, for values outside
+/// the integer path (whose contract is "%lld").
+::testing::AssertionResult renders_like_g12(double d) {
+  std::string got;
+  append_number(got, d);
+  if (!std::isfinite(d) || (d == std::floor(d) && std::abs(d) < 1e15))
+    return got == reference_number(d)
+               ? ::testing::AssertionSuccess()
+               : ::testing::AssertionFailure() << got << " for " << d;
+  const std::string want = printf_g12(d);
+  if (got == want && to_chars_g12(d) == want)
+    return ::testing::AssertionSuccess();
+  char hex[64];
+  std::snprintf(hex, sizeof hex, "%a", d);
+  return ::testing::AssertionFailure()
+         << hex << ": append_number " << got << ", printf " << want
+         << ", to_chars " << to_chars_g12(d);
+}
+
+/// d and its neighbours, one and two ulps away, with both signs.
+template <typename Check>
+void around(double d, Check&& check) {
+  const double inf = std::numeric_limits<double>::infinity();
+  double down = d, up = d;
+  check(d);
+  check(-d);
+  for (int i = 0; i < 2; ++i) {
+    down = std::nextafter(down, 0.0);
+    up = std::nextafter(up, inf);
+    for (const double v : {down, up, -down, -up}) check(v);
+  }
+}
+
+double from_text(const std::string& text) {
+  return std::strtod(text.c_str(), nullptr);
+}
+
+/// Whether d's exact decimal expansion has 13 significant digits ending
+/// in 5: a tie that "%.12g" must round half to even.
+bool is_exact_tie(double d) {
+  char buf[1100];
+  std::snprintf(buf, sizeof buf, "%.800e", std::abs(d));
+  std::string digits;
+  for (const char* c = buf; *c != 'e'; ++c)
+    if (*c != '.') digits += *c;
+  while (digits.back() == '0') digits.pop_back();
+  return digits.size() == 13 && digits.back() == '5';
+}
+
+TEST(JsonNumber, MatchesPrintfAndToCharsNearPowersOfTenAndTwo) {
+  for (int k = -323; k <= 308; ++k) {
+    around(from_text("1e" + std::to_string(k)),
+           [](double v) { ASSERT_TRUE(renders_like_g12(v)); });
+    // Rounding to 12 digits lands exactly on the next decade or not.
+    for (const char* mantissa : {"9.999999999995e", "1.0000000000005e",
+                                 "9.99999999999949e", "9.99999999999951e"}) {
+      const double v = from_text(mantissa + std::to_string(k));
+      if (std::isfinite(v))
+        around(v, [](double x) { ASSERT_TRUE(renders_like_g12(x)); });
+    }
+  }
+  for (int e = -1074; e <= 1023; ++e)
+    around(std::ldexp(1.0, e),
+           [](double v) { ASSERT_TRUE(renders_like_g12(v)); });
+}
+
+TEST(JsonNumber, MatchesPrintfAndToCharsOnDecimalMidpoints) {
+  // "d.ddddddddddd5eK": halfway between two 12-digit decimals, which
+  // strtod rounds to a double just above or below the midpoint.
+  std::mt19937_64 rng(19);
+  std::uniform_int_distribution<std::uint64_t> twelve(100000000000ull,
+                                                      999999999999ull);
+  std::uniform_int_distribution<int> exponent(-323, 308);
+  for (int i = 0; i < 100000; ++i) {
+    const std::string n = std::to_string(twelve(rng));
+    const double v = from_text(n.substr(0, 1) + "." + n.substr(1) + "5e" +
+                               std::to_string(exponent(rng)));
+    if (std::isfinite(v))
+      around(v, [](double x) { ASSERT_TRUE(renders_like_g12(x)); });
+  }
+}
+
+TEST(JsonNumber, MatchesPrintfAndToCharsOnBoundariesAndSubnormals) {
+  const double kLimit = 1e15;
+  around(kLimit, [](double v) { ASSERT_TRUE(renders_like_g12(v)); });
+  // 0.0001220703125 = 2^-13: exact, 10 digits, no rounding at all.
+  around(std::ldexp(1.0, -13),
+         [](double v) { ASSERT_TRUE(renders_like_g12(v)); });
+  around(999999999999.5, [](double v) { ASSERT_TRUE(renders_like_g12(v)); });
+  around(std::numeric_limits<double>::max(),
+         [](double v) { ASSERT_TRUE(renders_like_g12(v)); });
+  around(std::numeric_limits<double>::min(),
+         [](double v) { ASSERT_TRUE(renders_like_g12(v)); });
+  std::mt19937_64 rng(20);
+  for (int i = 0; i < 100000; ++i) {
+    // Every subnormal width, from one fraction bit to all 52.
+    const std::uint64_t fraction = rng() >> (12 + i % 52);
+    const double v = std::bit_cast<double>(fraction);
+    ASSERT_TRUE(renders_like_g12(v));
+    ASSERT_TRUE(renders_like_g12(-v));
+  }
+}
+
+TEST(JsonNumber, MatchesPrintfAndToCharsOnAMillionRandomBitPatterns) {
+  std::mt19937_64 rng(21);
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    ASSERT_TRUE(renders_like_g12(v));
+  }
+}
+
+/// Exact binary ties: n + 1/2 for 12-digit n, I + f/2^j with j fraction
+/// digits after a (13 - j)-digit integer part, 13-digit integers ending
+/// in 5 times 1000, and 2^-18 = 3.814697265625e-06.
+std::vector<double> exact_ties() {
+  std::vector<double> ties{std::ldexp(1.0, -18), 100000000000.5,
+                           100000000001.5, 999999999999.5};
+  std::mt19937_64 rng(22);
+  const auto uniform = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+  };
+  std::uint64_t pow10[14] = {1};
+  for (int i = 1; i < 14; ++i) pow10[i] = pow10[i - 1] * 10;
+  for (int i = 0; i < 20000; ++i) {
+    ties.push_back(static_cast<double>(uniform(pow10[11], pow10[12] - 1)) +
+                   0.5);
+    const int j = 1 + i % 12;
+    const std::uint64_t whole = uniform(pow10[12 - j], pow10[13 - j] - 1);
+    const std::uint64_t odd = 2 * uniform(0, (std::uint64_t{1} << (j - 1)) - 1) + 1;
+    ties.push_back(std::ldexp(static_cast<double>((whole << j) + odd), -j));
+    ties.push_back(
+        static_cast<double>((10 * uniform(pow10[11], 900719925473ull) + 5) *
+                            1000));
+  }
+  return ties;
+}
+
+TEST(JsonNumberFastPath, FallsBackOnEveryExactTie) {
+  for (const double tie : exact_ties()) {
+    ASSERT_TRUE(is_exact_tie(tie)) << std::hexfloat << tie;
+    for (const double v : {tie, -tie}) {
+      char buf[32];
+      ASSERT_EQ(detail::format_g12_fast(buf, v), nullptr)
+          << std::hexfloat << v;
+      ASSERT_TRUE(renders_like_g12(v));
+    }
+  }
+}
+
+TEST(JsonNumberFastPath, TakesTheFastPathAlmostAlways) {
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-60, 10);
+  const int kInputs = 1000000;
+  int fallbacks = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    // Random bit patterns, and the probabilities responses carry.
+    double v = std::bit_cast<double>(rng());
+    if (i % 2) v = std::ldexp(unit(rng), exponent(rng));
+    if (!std::isfinite(v) || (v == std::floor(v) && std::abs(v) < 1e15))
+      continue;
+    char buf[32];
+    char* end = detail::format_g12_fast(buf, v);
+    if (end == nullptr) {
+      ++fallbacks;
+      continue;
+    }
+    ASSERT_EQ(std::string(buf, end), printf_g12(v)) << std::hexfloat << v;
+  }
+  EXPECT_LT(fallbacks, kInputs / 10000);
 }
 
 TEST(Json, ArraysAndObjects) {

@@ -57,15 +57,5 @@ TEST(DiscreteDistribution, MomentsMatchDirect) {
   EXPECT_NEAR(t.variance(), d.variance(), 1e-14);
 }
 
-TEST(DiscreteDistribution, ToSeriesRoundTrip) {
-  const DiscreteDistribution d({0.2, 0.5, 0.3});
-  const Series s = d.to_series(5);
-  EXPECT_DOUBLE_EQ(s[0], 0.2);
-  EXPECT_DOUBLE_EQ(s[1], 0.5);
-  EXPECT_DOUBLE_EQ(s[2], 0.3);
-  EXPECT_DOUBLE_EQ(s[4], 0.0);
-  EXPECT_NEAR(s.eval(1.0), 1.0, 1e-15);
-}
-
 }  // namespace
 }  // namespace ksw::pgf

@@ -205,20 +205,32 @@ Series survival(const Series& s) {
   return out;
 }
 
+/// mu (1-mu)^(j-1) for j >= 1: geometric service times as a series.
+Series geometric_series(double mu, std::size_t n) {
+  Series s(n);
+  double mass = mu;
+  for (std::size_t j = 1; j < n; ++j) {
+    s[j] = mass;
+    mass *= (1.0 - mu);
+  }
+  return s;
+}
+
 /// Operands of every shape the product meets: deterministic, geometric
 /// and multi-size service series, their survival series, and random
 /// dense series with leading, interior and trailing zeros of both signs.
 std::vector<Series> product_operands(std::size_t n, std::mt19937_64& rng) {
   std::vector<Series> ops;
   for (const std::uint32_t m : {1u, 2u, 3u, 8u}) {
-    ops.push_back(core::DeterministicService(m).series(n));
+    ops.push_back(Series(core::DeterministicService(m).pmf()->pmf(), n));
     ops.push_back(survival(ops.back()));
   }
   for (const double mu : {0.5, 0.1}) {
-    ops.push_back(core::GeometricService(mu).series(n));
+    ops.push_back(geometric_series(mu, n));
     ops.push_back(survival(ops.back()));
   }
-  ops.push_back(core::MultiSizeService({{1, 0.5}, {3, 0.5}}).series(n));
+  ops.push_back(
+      Series(core::MultiSizeService({{1, 0.5}, {3, 0.5}}).pmf()->pmf(), n));
   ops.push_back(survival(ops.back()));
 
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
