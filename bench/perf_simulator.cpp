@@ -259,6 +259,9 @@ void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r) {
     j.set("measure_s", r.measure_s);
   }
   std::printf("BENCH_perf.json %s\n", j.to_string(0).c_str());
+  // Out now, not at exit: a reader that needs only this line (the obs
+  // overhead gate) stops the run once it has it.
+  std::fflush(stdout);
 }
 
 }  // namespace
@@ -284,6 +287,16 @@ int main(int argc, char** argv) {
     } else {
       passthrough.push_back(argv[i]);
     }
+  }
+  // Without --perf-only the google-benchmark suite runs after the probes;
+  // hand it its flags first, so --help or a typo answers at once instead
+  // of after every probe.
+  int bench_argc = static_cast<int>(passthrough.size());
+  if (!perf_only) {
+    benchmark::Initialize(&bench_argc, passthrough.data());
+    if (benchmark::ReportUnrecognizedArguments(bench_argc,
+                                               passthrough.data()))
+      return 1;
   }
   const Baseline baseline = load_baseline(baseline_path);
   bool gate_ok = true;
@@ -327,11 +340,6 @@ int main(int argc, char** argv) {
                 baseline.path.c_str());
   if (perf_only) return 0;
 
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                             passthrough.data()))
-    return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -66,11 +66,22 @@ if [ "$section" = "sim" ] || [ "$section" = "all" ]; then
     exit 2
   fi
   # cycles_per_sec from the first BENCH_perf.json line (the legacy k=2,
-  # stages=8 probe; later lines are the rho sweep).
+  # stages=8 probe). The rho sweep that follows it is not read, so the run
+  # is stopped once the line is in; a run that ends without it prints
+  # nothing, and the caller exits 2.
   sim_probe() {
-    "$sim_bin" --perf-only "--obs=$1" |
-      sed -n 's/^BENCH_perf\.json .*"cycles_per_sec":\([0-9.eE+-]*\).*/\1/p' |
-      head -n 1
+    local line pid fd
+    local re='^BENCH_perf\.json .*"cycles_per_sec":([0-9.eE+-]+)'
+    exec {fd}< <(exec "$sim_bin" --perf-only "--obs=$1")
+    pid=$!
+    while IFS= read -r line <&"$fd"; do
+      if [[ $line =~ $re ]]; then
+        printf '%s\n' "${BASH_REMATCH[1]}"
+        break
+      fi
+    done
+    kill "$pid" 2>/dev/null || true
+    exec {fd}<&-
   }
   ratio=$(median_ratio sim sim_probe)
   gate_ratio sim "$ratio"

@@ -399,6 +399,11 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
       queue_us_->record(queue_us[i]);
     }
   }
+  // Cold responses run to ~1 MB a batch: size `out` once instead of
+  // letting the appends double it.
+  std::size_t bytes = out->size();
+  for (const std::string& r : responses) bytes += r.size() + 1;
+  out->reserve(bytes);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     (succeeded[i] ? ok_ : errors_)->inc();
     out->append(responses[i]);

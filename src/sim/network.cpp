@@ -8,7 +8,7 @@
 // Policies, chosen once per run from the config (run_network below), so a
 // disabled feature costs no branch in the hot loop:
 //   * Service — unit (no service lane is drawn, no port is ever busy) or
-//     sampled (per-packet service times, busy set + expiry heap).
+//     sampled (per-packet service times, busy set + expiry wheel).
 //   * Buffering — infinite, or finite with detail::FlowState admission
 //     (vct / saf / credit).
 //   * Instruments — none, or on: telemetry, stage histograms and the
@@ -25,11 +25,12 @@
 //   * All stages x ports queues live in one QueuePool — flat metadata
 //     arrays indexed by stage * ports + port, element storage carved from
 //     a shared arena (see queue_pool.hpp).
-//   * Each stage keeps an ActiveSet (occupied/busy bitmaps + busy-expiry
-//     heap), so the per-cycle service scan touches only occupied,
-//     non-busy ports instead of sweeping the whole topology. Bits are
-//     walked in ascending port order — the exact order of the seed
-//     engine's full sweep, which is what makes bit-identity possible.
+//   * Each stage keeps an ActiveSet (occupied/busy bitmaps; sampled runs
+//     add a busy-expiry timing wheel, TimedActiveSet), so the per-cycle
+//     service scan touches only occupied, non-busy ports instead of
+//     sweeping the whole topology. Bits are walked in ascending port
+//     order — the exact order of the seed engine's full sweep, which is
+//     what makes bit-identity possible.
 //   * Each stage's walk is a chunked two-pass sweep over the materialized
 //     candidate list. Pass A reads each head (ring slots prefetched
 //     kLookahead queues ahead), computes its wait and route, and builds
@@ -144,7 +145,10 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
   // never grow.
   QueuePool<Pkt> pool(static_cast<std::size_t>(n) * ports,
                       kFinite ? cfg.buffer_capacity : 4, kFinite);
-  std::vector<ActiveSet> active(n, ActiveSet(ports));
+  // Only sampled service can hold a port busy past the cycle it starts
+  // in, so only sampled runs carry (and allocate) the expiry wheel.
+  using Sched = std::conditional_t<kSampled, TimedActiveSet, ActiveSet>;
+  std::vector<Sched> active(n, Sched(ports));
 
   // Checkpoint lookup: after completing c stages, record into
   // total_wait[checkpoint_of[c]].
@@ -174,8 +178,8 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
   CorrTable corr(corr_on ? n : 1);
   std::vector<double> corr_scratch(corr_on ? n : 0, 0.0);
   // Utilization sampling needs per-port service end times; the scheduler
-  // itself only tracks multi-cycle services (in the ActiveSet heaps), so
-  // keep the flat busy_until array only when the samples are taken.
+  // itself only tracks multi-cycle services (on the expiry wheels), so keep
+  // the flat busy_until array only when the samples are taken.
   const bool sample_busy = obs_on && cfg.obs.stride != 0;
   std::vector<std::int64_t> busy_until(
       sample_busy ? static_cast<std::size_t>(n) * ports : 0, 0);
@@ -244,7 +248,7 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
 
       // --- Service, stage by stage -----------------------------------------
       for (unsigned s = 0; s < n; ++s) {
-        ActiveSet& sched = active[s];
+        Sched& sched = active[s];
         if constexpr (kSampled) sched.expire(t);
         cand.clear();
         sched.for_each_candidate([&](std::uint32_t a) { cand.push_back(a); });
@@ -352,7 +356,7 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
                 }
             }
             // Unit services never block the next cycle; only m >= 2 enters
-            // the busy set (and its expiry heap).
+            // the busy set (and its expiry wheel).
             if constexpr (kSampled)
               if (service > 1) sched.mark_busy(mv.addr, t + service);
           }

@@ -130,7 +130,7 @@ TEST(ActiveSet, YieldsOccupiedInAscendingOrder) {
 }
 
 TEST(ActiveSet, BusyPortsAreSkippedUntilExpiry) {
-  ActiveSet set(8);
+  TimedActiveSet set(8);
   set.mark_occupied(2);
   set.mark_occupied(5);
   set.mark_busy(2, /*clear_at=*/10);
@@ -138,6 +138,69 @@ TEST(ActiveSet, BusyPortsAreSkippedUntilExpiry) {
   EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{5}));
   set.expire(10);
   EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{2, 5}));
+}
+
+// Call expire once per cycle for cycles [from, to], as the engine does.
+void expire_through(TimedActiveSet& set, std::int64_t from, std::int64_t to) {
+  for (std::int64_t t = from; t <= to; ++t) set.expire(t);
+}
+
+TEST(ActiveSet, BusyPeriodLongerThanTheWheelSurvivesEarlierVisits) {
+  // End cycle 150 files port 70 in slot 150 mod 64 = 22, which is visited
+  // at cycles 22 and 86 before the port is due.
+  TimedActiveSet set(130);
+  set.mark_occupied(70);
+  set.mark_occupied(3);
+  set.expire(0);
+  set.mark_busy(70, 150);
+  expire_through(set, 1, 22);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{3}));
+  expire_through(set, 23, 86);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{3}));
+  expire_through(set, 87, 149);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{3}));
+  set.expire(150);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{3, 70}));
+}
+
+TEST(ActiveSet, PortsInOneSlotOneRoundApartReleaseOnTheirOwnCycles) {
+  // Ends 30 and 94 share slot 30.
+  TimedActiveSet set(130);
+  for (std::uint32_t a : {1u, 65u}) set.mark_occupied(a);
+  set.expire(0);
+  set.mark_busy(1, 30);
+  set.mark_busy(65, 94);
+  expire_through(set, 1, 29);
+  EXPECT_TRUE(candidates(set).empty());
+  set.expire(30);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{1}));
+  expire_through(set, 31, 93);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{1}));
+  set.expire(94);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{1, 65}));
+}
+
+TEST(ActiveSet, PortReleasedAndRemarkedInTheSameCycle) {
+  // The engine releases a port, then restarts it in the same cycle: a new
+  // end one round later lands in the slot just visited and must wait for
+  // its own visit; a shorter one lands in another slot.
+  TimedActiveSet set(8);
+  set.mark_occupied(4);
+  set.expire(0);
+  set.mark_busy(4, 20);
+  expire_through(set, 1, 20);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{4}));
+  set.mark_busy(4, 84);  // slot 20 again
+  EXPECT_TRUE(candidates(set).empty());
+  expire_through(set, 21, 83);
+  EXPECT_TRUE(candidates(set).empty());
+  set.expire(84);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{4}));
+  set.mark_busy(4, 86);
+  set.expire(85);
+  EXPECT_TRUE(candidates(set).empty());
+  set.expire(86);
+  EXPECT_EQ(candidates(set), (std::vector<std::uint32_t>{4}));
 }
 
 TEST(ActiveSet, ClearOccupiedRemovesCandidate) {
