@@ -7,7 +7,6 @@
 //   calibrate  re-fit the Section IV interpolation constants
 //   reproduce  regenerate the paper-reproduction book from a manifest
 //   serve      long-lived analytic query service (ksw.query/v1 JSONL)
-//   fleet      sharded serve fleet: TCP front end over N serve workers
 //   trace      summarize / export ksw.trace/v1 span streams
 //
 // All commands accept --format=table|json|csv. Command logic is exposed as
@@ -76,7 +75,6 @@ int cmd_simulate(const ArgMap& args, std::ostream& out, std::ostream& err);
 int cmd_calibrate(const ArgMap& args, std::ostream& out, std::ostream& err);
 int cmd_reproduce(const ArgMap& args, std::ostream& out, std::ostream& err);
 int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream& err);
-int cmd_fleet(const ArgMap& args, std::ostream& out, std::ostream& err);
 int cmd_trace(const ArgMap& args, std::ostream& out, std::ostream& err);
 
 /// Top-level dispatch (args excludes argv[0]).

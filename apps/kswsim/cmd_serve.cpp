@@ -19,12 +19,11 @@
 //     response channel and a metrics report interleaved into it would
 //     corrupt the protocol stream.
 //   --metrics-interval-ms additionally rewrites that snapshot atomically
-//     every MS milliseconds while serving, for live fleet monitoring.
+//     every MS milliseconds while serving, for live monitoring.
 //   --access-log appends one JSONL row per request: trace_id, kernel,
 //     cache hit/miss + shard, queue-wait vs eval-wall split, outcome.
 //   --trace-out records serve.batch/serve.request spans and writes a
 //     ksw.trace/v1 stream on shutdown (see `kswsim trace`).
-#include <iostream>
 #include <optional>
 #include <ostream>
 #include <unistd.h>
@@ -88,13 +87,10 @@ int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream& err) {
     if (!listen.empty()) {
       err << "serve: listening on " << listen << "\n";
       summary = service.run_listen(listen, cancel);
-    } else if (&out == &std::cout) {
-      // Real CLI invocation: poll-based reader on the raw descriptors, so
-      // a SIGTERM during a blocked read is observed within ~200 ms.
-      summary = service.run_fd(STDIN_FILENO, STDOUT_FILENO, cancel);
     } else {
-      // In-process harness (tests): plain stream loop.
-      summary = service.run(std::cin, out, cancel);
+      // Poll-based reader on the raw descriptors, so a SIGTERM during a
+      // blocked read is observed within ~200 ms.
+      summary = service.run_fd(STDIN_FILENO, STDOUT_FILENO, cancel);
     }
   }
 

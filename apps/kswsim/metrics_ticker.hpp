@@ -1,6 +1,5 @@
-// Periodic metrics snapshotter shared by `kswsim serve` and
-// `kswsim fleet`: rewrites `path` atomically every `interval_ms` until
-// stopped, so an operator (or a supervisor watching its workers) can
+// Periodic metrics snapshotter for `kswsim serve`: rewrites `path`
+// atomically every `interval_ms` until stopped, so an operator can
 // follow counters and latency quantiles live instead of waiting for
 // shutdown. Write failures disable the ticker with one stderr note —
 // monitoring must never take the service down.

@@ -52,17 +52,6 @@ commands:
               cache; --access-log appends one JSONL row per request with
               trace_id, cache hit/miss, and queue/eval timing; a line
               over 1 MiB ends its stream; see docs/SERVING.md)
-  fleet      sharded serve fleet: one TCP front end over N serve workers
-             --workers=4 --tcp=HOST:PORT|PORT --queue-depth=128
-             --deadline-ms=0 --threads=0 --batch=64 --cache-mb=64
-             --metrics-out=FILE|- --metrics-interval-ms=0
-             --access-log=FILE --trace-out=FILE --worker-binary=PATH
-             (accepts concurrent TCP clients, routes each request to a
-              worker by its canonical cache key so responses stay
-              bit-identical to single-process serve; bounded per-worker
-              queues shed excess load in-band with error.kind
-              "overload"; dead workers restart automatically; see
-              docs/OPERATIONS.md)
   trace      summarize / export ksw.trace/v1 span streams
              trace summarize --in=FILE --format=table|json|csv
              trace export --chrome --in=FILE --out=FILE|-
@@ -79,11 +68,10 @@ service specs: det:M (constant M cycles), geo:MU (geometric, mean 1/MU),
 
 exit codes: 0 ok, 1 internal error, 2 usage, 3 gate failure, 4 book
             drift, 5 I/O error, 6 numeric error, 7 degraded run,
-            8 fleet supervision failure, 130 interrupted (see
-            docs/ROBUSTNESS.md). `serve` and `fleet` map per-request
-            failures to in-band error.kind responses; their exit codes
-            reflect only startup/transport/shutdown state (see
-            docs/SERVING.md)
+            130 interrupted (see docs/ROBUSTNESS.md). `serve` maps
+            per-request failures to in-band error.kind responses; its
+            exit codes reflect only startup/transport/shutdown state
+            (see docs/SERVING.md)
 
 environment: KSW_FAULTS=site[@N][:MS],... arms deterministic fault-
              injection sites (testing; see docs/ROBUSTNESS.md)
@@ -114,7 +102,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     if (command == "calibrate") return cmd_calibrate(parsed, out, err);
     if (command == "reproduce") return cmd_reproduce(parsed, out, err);
     if (command == "serve") return cmd_serve(parsed, out, err);
-    if (command == "fleet") return cmd_fleet(parsed, out, err);
     if (command == "trace") return cmd_trace(parsed, out, err);
     err << "kswsim: unknown command '" << command << "'\n" << kUsage;
     return 2;

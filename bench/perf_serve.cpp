@@ -11,7 +11,11 @@
 // the cached service uses the default cache, so all but the first
 // occurrence of each tuple are hits returning memoized bytes.
 //
-// Each mode runs five times, alternating, and keeps its fastest pass.
+// Each pass serves the workload through Service::run_fd, the loop behind
+// `kswsim serve`, from a regular file to /dev/null: every line is
+// readable at once, so each batch fills to 64 requests and the rate does
+// not depend on pipe scheduling. Each mode runs five times, alternating,
+// and keeps its fastest pass.
 // Prints a human summary plus one machine-readable line prefixed
 // "BENCH_serve.json" (also written to --out=FILE when given) — including
 // per-request service-time p50/p99/p999 read back from the service's
@@ -26,20 +30,20 @@
 // is missing or measured a different workload. Two regression floors
 // replace the old cached/cold >= 10x ratio, which failed whenever cold
 // evaluation got faster and passed a cold slowdown.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
-#include <streambuf>
 #include <string>
-#include <thread>
 
 #include "io/atomic.hpp"
 #include "io/json.hpp"
+#include "machine.hpp"
 #include "obs/span.hpp"
 #include "serve/service.hpp"
-#include "simd/simd.hpp"
 
 namespace {
 
@@ -55,16 +59,6 @@ struct Options {
   std::string out_path;
   std::string access_log;
   bool gate = true;
-};
-
-/// Drops the responses. An ostringstream sink grew to ~9 MB a pass, and
-/// once its buffer crossed glibc's adaptive mmap threshold every pass
-/// page-faulted it in afresh (~2,200 faults, ~5 ms): the probe timed its
-/// own sink, and only in some runs.
-class DiscardBuf final : public std::streambuf {
- protected:
-  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
-  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
 };
 
 /// Per-request service-time quantiles (microseconds).
@@ -86,7 +80,15 @@ std::string build_workload(const Options& opt) {
   return os.str();
 }
 
-double run_once(const Options& opt, std::uint64_t cache_mb,
+/// The request and response descriptors every pass shares: the workload
+/// in an unlinked temporary file, rewound before each pass, and
+/// /dev/null, so the probe times no sink of its own.
+struct Files {
+  int in = -1;
+  int out = -1;
+};
+
+double run_once(const Options& opt, const Files& files, std::uint64_t cache_mb,
                 ksw::serve::ServeSummary* summary, Latency* latency) {
   ksw::serve::ServeOptions sopts;
   sopts.threads = opt.threads;
@@ -98,11 +100,9 @@ double run_once(const Options& opt, std::uint64_t cache_mb,
     sopts.tracer = &tracer;
   }
   ksw::serve::Service service(sopts);
-  std::istringstream in(build_workload(opt));
-  DiscardBuf discard;
-  std::ostream sink(&discard);
+  ::lseek(files.in, 0, SEEK_SET);
   const auto start = std::chrono::steady_clock::now();
-  *summary = service.run(in, sink, nullptr);
+  *summary = service.run_fd(files.in, files.out, nullptr);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -122,30 +122,11 @@ struct Best {
   Latency latency;
 };
 
-void keep_faster(Best& best, const Options& opt, std::uint64_t cache_mb) {
+void keep_faster(Best& best, const Options& opt, const Files& files,
+                 std::uint64_t cache_mb) {
   Best run;
-  run.wall = run_once(opt, cache_mb, &run.summary, &run.latency);
+  run.wall = run_once(opt, files, cache_mb, &run.summary, &run.latency);
   if (best.wall == 0.0 || run.wall < best.wall) best = run;
-}
-
-/// What the record was measured on; a floor compares like with like.
-ksw::io::Json machine_block() {
-  std::string cpu = "unknown";
-  std::ifstream info("/proc/cpuinfo");
-  for (std::string line; std::getline(info, line);) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon != std::string::npos)
-      cpu = line.substr(line.find_first_not_of(' ', colon + 1));
-    break;
-  }
-  ksw::io::Json m = ksw::io::Json::object();
-  m.set("nproc", static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  m.set("cpu", cpu);
-  m.set("compiler", KSW_BENCH_COMPILER);
-  m.set("build_type", KSW_BENCH_BUILD_TYPE);
-  m.set("simd", ksw::simd::to_string(ksw::simd::active_level()));
-  return m;
 }
 
 /// The two regression floors against the baseline record; false fails.
@@ -227,12 +208,26 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::FILE* workload = std::tmpfile();
+  Files files;
+  files.out = ::open("/dev/null", O_WRONLY);
+  if (workload == nullptr || files.out < 0) {
+    std::fprintf(stderr, "perf_serve: cannot open the workload file\n");
+    return 5;
+  }
+  const std::string text = build_workload(opt);
+  std::fwrite(text.data(), 1, text.size(), workload);
+  std::fflush(workload);
+  files.in = ::fileno(workload);
+
   Best cold;
   Best cached;
   for (int pass = 0; pass < kPasses; ++pass) {
-    keep_faster(cold, opt, /*cache_mb=*/0);
-    keep_faster(cached, opt, /*cache_mb=*/64);
+    keep_faster(cold, opt, files, /*cache_mb=*/0);
+    keep_faster(cached, opt, files, /*cache_mb=*/64);
   }
+  std::fclose(workload);
+  ::close(files.out);
   const double cold_s = cold.wall;
   const double cached_s = cached.wall;
   const Latency& cold_lat = cold.latency;
@@ -273,7 +268,7 @@ int main(int argc, char** argv) {
   j.set("cached_p50_us", cached_lat.p50);
   j.set("cached_p99_us", cached_lat.p99);
   j.set("cached_p999_us", cached_lat.p999);
-  j.set("machine", machine_block());
+  j.set("machine", ksw::bench::machine_block());
   std::printf("BENCH_serve.json %s\n", j.to_string(0).c_str());
   if (!opt.out_path.empty())
     ksw::io::atomic_write_file(opt.out_path, j.to_string(2) + "\n");

@@ -1,13 +1,11 @@
-// Engine micro-benchmarks (google-benchmark): throughput of the analytic
-// kernels and the cycle-accurate simulator.
+// Simulator throughput probe: a fixed workload (k=2, stages=8, p=0.5),
+// then a load sweep (k=4, stages=6, rho in {0.5, 0.8, 0.95}) covering the
+// regimes the active-set scheduler cares about. Each probe prints
+// cycles/sec and packets/sec plus one machine-readable line prefixed
+// "BENCH_perf.json", which carries the machine it was measured on.
 //
-// Custom main: before the google-benchmark suite, a fixed simulator
-// throughput probe (k=2, stages=8, p=0.5) runs, followed by a load sweep
-// (k=4, stages=6, rho in {0.5, 0.8, 0.95}) covering the regimes the
-// active-set scheduler cares about. Each probe prints cycles/sec and
-// packets/sec plus one machine-readable line prefixed "BENCH_perf.json".
-// Flags (consumed before benchmark::Initialize):
-//   --perf-only       run only the throughput probes, skip the BM_ suite
+//   perf_simulator [--obs=on|off] [--baseline=FILE] [--gate]
+//
 //   --obs=on|off      probe with observability sampling enabled (default
 //                     off); scripts/check_obs_overhead.sh compares the two.
 //   --baseline=FILE   JSONL of recorded BENCH_perf.json lines to compare
@@ -16,92 +14,22 @@
 //                     absent — a fresh clone reports "none" rather than
 //                     silently omitting the comparison.
 //   --gate            exit 3 if any probe regresses more than 20% in
-//                     packets/sec vs its baseline entry (CI; see
+//                     packets/sec vs its baseline entry, or has no entry
+//                     recorded on this machine (CI; see
 //                     scripts/check_perf.sh and docs/PERFORMANCE.md).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/first_stage.hpp"
-#include "core/total_delay.hpp"
 #include "io/json.hpp"
-#include "sim/first_stage_sim.hpp"
+#include "machine.hpp"
 #include "sim/network.hpp"
 
 namespace {
-
-void BM_FirstStageMoments(benchmark::State& state) {
-  // rho = p * m = 0.2 * 4 = 0.8 (must stay < 1 for a stable queue).
-  ksw::core::QueueSpec spec{
-      std::shared_ptr<ksw::core::ArrivalModel>(
-          ksw::core::make_uniform_arrivals(2, 2, 0.2)),
-      std::make_shared<ksw::core::DeterministicService>(4)};
-  const ksw::core::FirstStage fs(spec);
-  for (auto _ : state) benchmark::DoNotOptimize(fs.moments().variance);
-}
-BENCHMARK(BM_FirstStageMoments);
-
-void BM_DistributionInversion(benchmark::State& state) {
-  ksw::core::QueueSpec spec{
-      std::shared_ptr<ksw::core::ArrivalModel>(
-          ksw::core::make_uniform_arrivals(2, 2, 0.5)),
-      std::make_shared<ksw::core::DeterministicService>(1)};
-  const ksw::core::FirstStage fs(spec);
-  const auto length = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(fs.distribution(length).back());
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_DistributionInversion)->Range(64, 2048)->Complexity();
-
-void BM_TotalDelayPrediction(benchmark::State& state) {
-  ksw::core::NetworkTrafficSpec spec;
-  spec.k = 2;
-  spec.p = 0.5;
-  const ksw::core::LaterStages ls(spec);
-  for (auto _ : state) {
-    const ksw::core::TotalDelay td(ls, 12);
-    benchmark::DoNotOptimize(td.variance_total());
-  }
-}
-BENCHMARK(BM_TotalDelayPrediction);
-
-void BM_SingleSwitchSim(benchmark::State& state) {
-  ksw::sim::FirstStageConfig cfg;
-  cfg.p = 0.5;
-  cfg.warmup_cycles = 0;
-  cfg.measure_cycles = state.range(0);
-  for (auto _ : state) {
-    cfg.seed += 1;  // fresh stream each iteration
-    benchmark::DoNotOptimize(ksw::sim::run_first_stage(cfg).messages);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SingleSwitchSim)->Arg(10'000);
-
-void BM_NetworkSimCyclesPerSecond(benchmark::State& state) {
-  ksw::sim::NetworkConfig cfg;
-  cfg.k = 2;
-  cfg.stages = static_cast<unsigned>(state.range(0));
-  cfg.p = 0.5;
-  cfg.warmup_cycles = 0;
-  cfg.measure_cycles = 2'000;
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(ksw::sim::run_network(cfg).packets_delivered);
-  }
-  // One item = one port-cycle of switching work.
-  state.SetItemsProcessed(state.iterations() * cfg.measure_cycles *
-                          (1ll << cfg.stages) * cfg.stages);
-}
-BENCHMARK(BM_NetworkSimCyclesPerSecond)->Arg(6)->Arg(8)->Arg(10);
 
 // ---------------------------------------------------------------------------
 // Throughput probes: the legacy acceptance workload (k=2, stages=8, p=0.5)
@@ -155,6 +83,7 @@ struct BaselineEntry {
   double p = 0.0;
   bool obs = false;
   double packets_per_sec = 0.0;
+  std::string machine;  ///< the record's machine block, "null" if absent
 };
 
 struct Baseline {
@@ -194,6 +123,7 @@ Baseline load_baseline(const std::string& path) {
       e.p = j.at("p").as_double();
       e.obs = j.at("obs").as_string() == "on";
       e.packets_per_sec = j.at("packets_per_sec").as_double();
+      e.machine = j.get("machine").to_string();
       b.entries.push_back(e);
     } catch (const std::exception&) {
       // skip
@@ -203,23 +133,31 @@ Baseline load_baseline(const std::string& path) {
 }
 
 /// Print the baseline comparison for one probe; returns false when the
-/// probe regresses past the 20% floor (only meaningful under --gate).
+/// probe has no entry recorded on this machine or regresses past the 20%
+/// floor (only meaningful under --gate).
 bool print_baseline_line(const Baseline& baseline,
                          const ksw::sim::NetworkConfig& cfg,
-                         double packets_per_sec) {
+                         double packets_per_sec, const std::string& machine) {
   if (!baseline.file_found) {
     std::printf(
         "  vs baseline     none (%s not found; record one with "
         "scripts/check_perf.sh --update)\n",
         baseline.path.c_str());
-    return true;
+    return false;
   }
   const BaselineEntry* e = baseline.find(cfg);
   if (e == nullptr || e->packets_per_sec <= 0.0) {
     std::printf(
         "  vs baseline     no entry for this workload in %s\n",
         baseline.path.c_str());
-    return true;
+    return false;
+  }
+  if (e->machine != machine) {
+    std::printf(
+        "  vs baseline     recorded on another machine: %s\n"
+        "                  this machine: %s\n",
+        e->machine.c_str(), machine.c_str());
+    return false;
   }
   const double ratio = packets_per_sec / e->packets_per_sec;
   const bool ok = ratio >= 0.8;
@@ -229,7 +167,8 @@ bool print_baseline_line(const Baseline& baseline,
   return ok;
 }
 
-void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r) {
+void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r,
+                 const ksw::io::Json& machine) {
   const double cycles_per_sec =
       static_cast<double>(r.cycles) / r.wall_s;
   const double packets_per_sec =
@@ -258,6 +197,7 @@ void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r) {
     j.set("warmup_s", r.warmup_s);
     j.set("measure_s", r.measure_s);
   }
+  j.set("machine", machine);
   std::printf("BENCH_perf.json %s\n", j.to_string(0).c_str());
   // Out now, not at exit: a reader that needs only this line (the obs
   // overhead gate) stops the run once it has it.
@@ -267,16 +207,11 @@ void print_probe(const ksw::sim::NetworkConfig& cfg, const ProbeResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool perf_only = false;
   bool obs_enabled = false;
   bool gate = false;
   std::string baseline_path = "BENCH_perf.json";
-  std::vector<char*> passthrough;
-  passthrough.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-only") == 0) {
-      perf_only = true;
-    } else if (std::strcmp(argv[i], "--obs=on") == 0) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--obs=on") == 0) {
       obs_enabled = true;
     } else if (std::strcmp(argv[i], "--obs=off") == 0) {
       obs_enabled = false;
@@ -285,21 +220,25 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
       baseline_path = argv[i] + 11;
     } else {
-      passthrough.push_back(argv[i]);
+      std::fprintf(stderr,
+                   "perf_simulator: unknown option %s\n"
+                   "usage: perf_simulator [--obs=on|off] [--baseline=FILE] "
+                   "[--gate]\n",
+                   argv[i]);
+      return 2;
     }
   }
-  // Without --perf-only the google-benchmark suite runs after the probes;
-  // hand it its flags first, so --help or a typo answers at once instead
-  // of after every probe.
-  int bench_argc = static_cast<int>(passthrough.size());
-  if (!perf_only) {
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data()))
-      return 1;
-  }
   const Baseline baseline = load_baseline(baseline_path);
+  const ksw::io::Json machine = ksw::bench::machine_block();
+  const std::string machine_text = machine.to_string();
   bool gate_ok = true;
+  const auto probe = [&](const ksw::sim::NetworkConfig& cfg) {
+    const ProbeResult r = run_probe(cfg, 3);
+    print_probe(cfg, r, machine);
+    gate_ok &= print_baseline_line(baseline, cfg,
+                                   static_cast<double>(r.packets) / r.wall_s,
+                                   machine_text);
+  };
 
   {
     // Legacy acceptance probe; scripts/check_obs_overhead.sh keys on this
@@ -311,10 +250,7 @@ int main(int argc, char** argv) {
     cfg.warmup_cycles = 1'000;
     cfg.measure_cycles = 20'000;
     cfg.obs.enabled = obs_enabled;
-    const ProbeResult r = run_probe(cfg, 3);
-    print_probe(cfg, r);
-    gate_ok &= print_baseline_line(
-        baseline, cfg, static_cast<double>(r.packets) / r.wall_s);
+    probe(cfg);
   }
   for (const double rho : {0.5, 0.8, 0.95}) {
     ksw::sim::NetworkConfig cfg;
@@ -324,23 +260,16 @@ int main(int argc, char** argv) {
     cfg.warmup_cycles = 500;
     cfg.measure_cycles = 4'000;
     cfg.obs.enabled = obs_enabled;
-    const ProbeResult r = run_probe(cfg, 3);
-    print_probe(cfg, r);
-    gate_ok &= print_baseline_line(
-        baseline, cfg, static_cast<double>(r.packets) / r.wall_s);
+    probe(cfg);
   }
-  if (gate && !gate_ok) {
+  if (!gate) return 0;
+  if (!gate_ok) {
     std::printf(
-        "perf gate: FAILED — throughput regressed > 20%% vs %s\n",
+        "perf gate: FAILED — a probe has no baseline from this machine in "
+        "%s, or regressed > 20%% against it\n",
         baseline.path.c_str());
     return 3;
   }
-  if (gate)
-    std::printf("perf gate: OK (within 20%% of %s)\n",
-                baseline.path.c_str());
-  if (perf_only) return 0;
-
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  std::printf("perf gate: OK (within 20%% of %s)\n", baseline.path.c_str());
   return 0;
 }

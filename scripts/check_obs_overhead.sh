@@ -72,7 +72,7 @@ if [ "$section" = "sim" ] || [ "$section" = "all" ]; then
   sim_probe() {
     local line pid fd
     local re='^BENCH_perf\.json .*"cycles_per_sec":([0-9.eE+-]+)'
-    exec {fd}< <(exec "$sim_bin" --perf-only "--obs=$1")
+    exec {fd}< <(exec "$sim_bin" "--obs=$1")
     pid=$!
     while IFS= read -r line <&"$fd"; do
       if [[ $line =~ $re ]]; then

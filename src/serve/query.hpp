@@ -24,7 +24,7 @@
 
 namespace ksw::serve {
 
-/// Longest request line, newline excluded, that serve and fleet read. A
+/// Longest request line, newline excluded, that serve reads. A
 /// longer line ends its stream whether or not its newline has arrived:
 /// stdin mode exits with kIo, a socket connection is closed.
 inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
@@ -56,11 +56,6 @@ inline constexpr const char* kNumeric = "numeric";          ///< model guard
 inline constexpr const char* kDeadline = "deadline";        ///< expired
 inline constexpr const char* kInterrupted = "interrupted";  ///< shutdown
 inline constexpr const char* kInternal = "internal";        ///< a bug
-/// Fleet-only (docs/SERVING.md "Fleet protocol addendum"): the
-/// supervisor's bounded per-worker queue is full and the request was
-/// shed instead of queued. A single-process `kswsim serve` never emits
-/// it. Retryable by construction — nothing was evaluated.
-inline constexpr const char* kOverload = "overload";
 }  // namespace wire
 
 /// Parameter tuple of one request, defaults filled in. Construction goes

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -112,18 +110,18 @@ class FdLineReader {
   Status next_line(std::string* line, const par::CancelToken* cancel,
                    bool wait) {
     while (true) {
-      const auto nl = buf_.find('\n');
-      if ((nl == std::string::npos ? buf_.size() : nl) > kMaxLineBytes)
+      const auto nl = buf_.find('\n', pos_);
+      if ((nl == std::string::npos ? buf_.size() : nl) - pos_ > kMaxLineBytes)
         return Status::kTooLong;
       if (nl != std::string::npos) {
-        line->assign(buf_, 0, nl);
-        buf_.erase(0, nl + 1);
+        line->assign(buf_, pos_, nl - pos_);
+        pos_ = nl + 1;
         return Status::kLine;
       }
       if (eof_) {
-        if (!buf_.empty()) {  // final line without trailing newline
-          line->assign(std::move(buf_));
-          buf_.clear();
+        if (pos_ < buf_.size()) {  // final line without trailing newline
+          line->assign(buf_, pos_);
+          pos_ = buf_.size();
           return Status::kLine;
         }
         return Status::kEof;
@@ -142,6 +140,9 @@ class FdLineReader {
         if (!wait) return Status::kEof;
         continue;  // timeout: loop re-checks the cancel token
       }
+      // Drop the consumed lines once per read, not once per line.
+      buf_.erase(0, pos_);
+      pos_ = 0;
       char chunk[65536];
       const ssize_t n = ::read(fd_, chunk, sizeof chunk);
       if (n < 0) {
@@ -157,11 +158,14 @@ class FdLineReader {
     }
   }
 
-  [[nodiscard]] bool eof() const noexcept { return eof_ && buf_.empty(); }
+  [[nodiscard]] bool eof() const noexcept {
+    return eof_ && pos_ == buf_.size();
+  }
 
  private:
   int fd_;
   std::string buf_;
+  std::size_t pos_ = 0;  ///< start of the first unconsumed line in buf_
   bool eof_ = false;
 };
 
@@ -419,43 +423,6 @@ void Service::serve_batch(std::vector<Request> batch, std::string* out,
   }
 }
 
-ServeSummary Service::run(std::istream& in, std::ostream& out,
-                          const par::CancelToken* cancel) {
-  ServeSummary summary;
-  std::string line;
-  bool eof = false;
-  while (!eof) {
-    if (cancel != nullptr && cancel->requested()) {
-      summary.interrupted = true;
-      break;
-    }
-    std::vector<Request> batch;
-    bool too_long = false;
-    while (batch.size() < opts_.batch) {
-      if (!std::getline(in, line)) {
-        eof = true;
-        break;
-      }
-      if (line.size() > kMaxLineBytes) {
-        too_long = true;
-        break;
-      }
-      if (line.empty()) continue;
-      batch.push_back(Request::parse(line, opts_.deadline_ms));
-    }
-    if (!batch.empty()) {
-      summary.requests += batch.size();
-      summary.responses += batch.size();
-      std::string rendered;
-      serve_batch(std::move(batch), &rendered, cancel);
-      out << rendered << std::flush;
-    }
-    if (too_long) throw overlong_line();
-  }
-  if (cancel != nullptr && cancel->requested()) summary.interrupted = true;
-  return summary;
-}
-
 ServeSummary Service::run_fd(int in_fd, int out_fd,
                              const par::CancelToken* cancel) {
   ServeSummary summary;
@@ -477,10 +444,7 @@ void Service::serve_fd(int in_fd, int out_fd, const par::CancelToken* cancel,
       summary.interrupted = true;
       break;
     }
-    if (status == FdLineReader::Status::kEof && reader.eof() &&
-        batch.empty()) {
-      break;
-    }
+    if (status == FdLineReader::Status::kEof && reader.eof()) break;
     while (status == FdLineReader::Status::kLine) {
       if (!line.empty())
         batch.push_back(Request::parse(line, opts_.deadline_ms));
@@ -496,7 +460,7 @@ void Service::serve_fd(int in_fd, int out_fd, const par::CancelToken* cancel,
       if (!write_all(out_fd, rendered)) break;  // peer disconnected
     }
     if (status == FdLineReader::Status::kTooLong) throw overlong_line();
-    if (summary.interrupted || (reader.eof())) break;
+    if (summary.interrupted || reader.eof()) break;
   }
   if (cancel != nullptr && cancel->requested()) summary.interrupted = true;
 }

@@ -1,7 +1,7 @@
 // The long-lived analytic query service behind `kswsim serve`.
 //
-// The service reads ksw.query/v1 JSONL requests (stdin, an arbitrary
-// stream, or a Unix socket), batches them, dispatches each batch across
+// The service reads ksw.query/v1 JSONL requests (stdin, any readable
+// descriptor, or a Unix socket), batches them, dispatches each batch across
 // the par thread pool, and streams one JSONL response per request *in
 // request order* — so correlation works with or without ids. Every
 // kernel evaluation goes through the content-addressed EvalCache, so a
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -67,17 +66,13 @@ class Service {
   void serve_batch(std::vector<Request> batch, std::string* out,
                    const par::CancelToken* cancel);
 
-  /// Stream loop: getline/batch/respond until EOF. Blocking reads are
-  /// not cancellation points (used by tests and regular-file input);
-  /// cancellation is observed between lines. A line over kMaxLineBytes
-  /// throws ksw::Error(kIo) after the lines before it are answered.
-  ServeSummary run(std::istream& in, std::ostream& out,
-                   const par::CancelToken* cancel = nullptr);
-
   /// File-descriptor loop with a poll-based line reader, so a blocked
-  /// read observes cancellation within ~200 ms (stdin under a pipe, or
-  /// one accepted socket connection). Responses are written to out_fd;
-  /// EPIPE on a socket peer aborts just that connection. A line over
+  /// read observes cancellation within ~200 ms (stdin under a pipe, a
+  /// regular file, or one accepted socket connection). Each batch takes
+  /// the lines readable without blocking, up to `batch`: a regular file
+  /// fills every batch, a slow pipe sends smaller ones. Responses are
+  /// written to out_fd; EPIPE on a socket peer aborts just that
+  /// connection. A line over
   /// kMaxLineBytes, or a read/write failure, throws ksw::Error(kIo)
   /// after the requests read before it are answered.
   ServeSummary run_fd(int in_fd, int out_fd, const par::CancelToken* cancel);

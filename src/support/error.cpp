@@ -16,8 +16,6 @@ const char* to_string(ErrorKind kind) noexcept {
       return "drift";
     case ErrorKind::kInterrupted:
       return "interrupted";
-    case ErrorKind::kFleet:
-      return "fleet";
   }
   return "?";
 }

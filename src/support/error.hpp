@@ -21,7 +21,6 @@ enum class ErrorKind {
   kGate,         ///< reproduction agreement gate failed
   kDrift,        ///< committed book differs from a fresh run (--check)
   kInterrupted,  ///< cooperative cancellation (SIGINT/SIGTERM)
-  kFleet,        ///< fleet supervision failure (worker spawn/crash loop)
 };
 
 /// Stable exit code for each kind (documented in README and
@@ -39,8 +38,6 @@ enum class ErrorKind {
       return 5;
     case ErrorKind::kNumeric:
       return 6;
-    case ErrorKind::kFleet:
-      return 8;
     case ErrorKind::kInterrupted:
       return 130;  // 128 + SIGINT, the shell convention
   }
@@ -85,9 +82,6 @@ class Error : public std::runtime_error {
 }
 [[nodiscard]] inline Error interrupted_error(const std::string& message) {
   return {ErrorKind::kInterrupted, message};
-}
-[[nodiscard]] inline Error fleet_error(const std::string& message) {
-  return {ErrorKind::kFleet, message};
 }
 
 }  // namespace ksw

@@ -432,32 +432,6 @@ TEST(Serve, MetricsIntervalRequiresAMetricsFile) {
   EXPECT_EQ(invoke({"serve", "--metrics-interval-ms=50"}).code, 2);
 }
 
-TEST(Serve, FleetAliasIsGone) {
-  // A fleet has one spelling: `kswsim fleet --workers=N`.
-  const auto r = invoke({"serve", "--fleet=2"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("unknown option --fleet"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// fleet (docs/OPERATIONS.md); flag errors exit before any worker spawns
-// ---------------------------------------------------------------------------
-
-TEST(Fleet, SocketDirOptionIsGone) {
-  // Workers run on inherited socketpairs; there is no socket directory.
-  const auto r = invoke({"fleet", "--socket-dir=x"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("unknown option --socket-dir"), std::string::npos);
-}
-
-TEST(Fleet, RejectsOutOfDomainFlags) {
-  EXPECT_EQ(invoke({"fleet", "--workers=0"}).code, 2);
-  EXPECT_EQ(invoke({"fleet", "--workers=-1"}).code, 2);
-  EXPECT_EQ(invoke({"fleet", "--queue-depth=0"}).code, 2);
-  EXPECT_EQ(invoke({"fleet", "--batch=0"}).code, 2);
-  EXPECT_EQ(invoke({"fleet", "--tcp=not-a-port"}).code, 2);
-}
-
 // ---------------------------------------------------------------------------
 // trace (docs/OBSERVABILITY.md "Tracing")
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "io/json.hpp"
 #include "obs/span.hpp"
 #include "serve/service.hpp"
+#include "serve_pipe.hpp"
 #include "support/error.hpp"
 
 namespace ksw::serve {
@@ -53,12 +54,10 @@ std::vector<std::string> serve_with_log(const std::string& requests,
   opts.access_log = path;
   opts.tracer = tracer;
   Service service(opts);
-  std::istringstream in(requests);
-  std::ostringstream out;
-  service.run(in, out, nullptr);
+  const std::string output = serve_through_pipes(service, requests).output;
   *rows = read_jsonl(path);
   std::filesystem::remove(path);
-  return lines_of(out.str());
+  return lines_of(output);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,12 +223,12 @@ TEST(AccessLogE2E, ResponsesCarryNoTraceIdWhenTelemetryIsOff) {
   // tracer, no trace_id is generated or echoed.
   ServeOptions opts;
   Service service(opts);
-  std::istringstream in(
-      R"({"id":1,"kernel":"first_stage","params":{"p":0.5}})"
-      "\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  EXPECT_EQ(out.str().find("trace_id"), std::string::npos);
+  const std::string output =
+      serve_through_pipes(
+          service, R"({"id":1,"kernel":"first_stage","params":{"p":0.5}})"
+                   "\n")
+          .output;
+  EXPECT_EQ(output.find("trace_id"), std::string::npos);
 }
 
 }  // namespace

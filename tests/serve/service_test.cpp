@@ -19,6 +19,7 @@
 
 #include "io/json.hpp"
 #include "par/cancel.hpp"
+#include "serve_pipe.hpp"
 #include "support/error.hpp"
 
 namespace ksw::serve {
@@ -93,14 +94,13 @@ TEST(Service, FiftyRequestBatchAnswersInOrder) {
               << R"(,"params":{"p":0.)" << (i % 5 + 1) << "}}\n";
     }
   }
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
-  const ServeSummary summary = service.run(in, out, nullptr);
+  const auto [summary, output] =
+      serve_through_pipes(service, in_text.str());
   EXPECT_EQ(summary.requests, 50u);
   EXPECT_EQ(summary.responses, 50u);
   EXPECT_FALSE(summary.interrupted);
 
-  const auto lines = lines_of(out.str());
+  const auto lines = lines_of(output);
   ASSERT_EQ(lines.size(), 50u);
   for (int i = 0; i < 50; ++i) {
     const io::Json doc = io::Json::parse(lines[static_cast<std::size_t>(i)]);
@@ -129,12 +129,11 @@ TEST(Service, FiftyRequestBatchAnswersInOrder) {
 
 TEST(Service, RepeatedTupleIsServedFromCache) {
   Service service(ServeOptions{});
-  std::istringstream in(
-      "{\"kernel\":\"total_delay\",\"id\":\"a\"}\n"
-      "{\"kernel\":\"total_delay\",\"id\":\"b\"}\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const auto lines = lines_of(out.str());
+  const auto lines = lines_of(
+      serve_through_pipes(service,
+                          "{\"kernel\":\"total_delay\",\"id\":\"a\"}\n"
+                          "{\"kernel\":\"total_delay\",\"id\":\"b\"}\n")
+          .output);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_FALSE(io::Json::parse(lines[0]).at("cached").as_bool());
   EXPECT_TRUE(io::Json::parse(lines[1]).at("cached").as_bool());
@@ -151,12 +150,10 @@ TEST(Service, FiniteBufferKernelIsDeterministicAndCached) {
   const std::string tuple =
       R"("params":{"stages":3,"depth":64,"p":0.5,)"
       R"("cycles":4000,"warmup":400}})";
-  std::istringstream in("{\"kernel\":\"finite_buffer\",\"id\":1," + tuple +
-                        "\n{\"kernel\":\"finite_buffer\",\"id\":2," + tuple +
-                        "\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const auto lines = lines_of(out.str());
+  const std::string input =
+      "{\"kernel\":\"finite_buffer\",\"id\":1," + tuple +
+      "\n{\"kernel\":\"finite_buffer\",\"id\":2," + tuple + "\n";
+  const auto lines = lines_of(serve_through_pipes(service, input).output);
   ASSERT_EQ(lines.size(), 2u);
   const io::Json first = io::Json::parse(lines[0]);
   ASSERT_TRUE(first.at("ok").as_bool()) << lines[0];
@@ -170,13 +167,11 @@ TEST(Service, FiniteBufferKernelIsDeterministicAndCached) {
 
 TEST(Service, BufferSweepReportsGridAndInfiniteBaseline) {
   Service service(ServeOptions{});
-  std::istringstream in(
+  const std::string input =
       R"({"kernel":"buffer_sweep","params":{"stages":3,"depths":[1,32],)"
       R"("p":0.7,"cycles":4000,"warmup":400}})"
-      "\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const auto lines = lines_of(out.str());
+      "\n";
+  const auto lines = lines_of(serve_through_pipes(service, input).output);
   ASSERT_EQ(lines.size(), 1u);
   const io::Json doc = io::Json::parse(lines[0]);
   ASSERT_TRUE(doc.at("ok").as_bool()) << lines[0];
@@ -196,11 +191,11 @@ TEST(Service, DisabledCacheStillAnswersDeterministically) {
   ServeOptions opts;
   opts.cache_mb = 0;
   Service service(opts);
-  std::istringstream in(
-      "{\"kernel\":\"later_stages\"}\n{\"kernel\":\"later_stages\"}\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const auto lines = lines_of(out.str());
+  const auto lines = lines_of(
+      serve_through_pipes(service,
+                          "{\"kernel\":\"later_stages\"}\n"
+                          "{\"kernel\":\"later_stages\"}\n")
+          .output);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_FALSE(io::Json::parse(lines[1]).at("cached").as_bool());
   EXPECT_EQ(result_bytes(lines[0]), result_bytes(lines[1]));
@@ -229,7 +224,7 @@ TEST(Service, DefaultDeadlineFlowsIntoParsedRequests) {
   ServeOptions opts;
   opts.deadline_ms = 1234;
   Service service(opts);
-  (void)service;  // deadline default is applied by run() via Request::parse
+  (void)service;  // the serve loop applies it via Request::parse
   const Request req = Request::parse(R"({"kernel":"first_stage"})", 1234);
   EXPECT_EQ(req.deadline_ms, 1234);
 }
@@ -251,9 +246,9 @@ TEST(Service, RunReportsInterruptionWithoutConsumingInput) {
   Service service(ServeOptions{});
   par::CancelToken cancel;
   cancel.request();
-  std::istringstream in("{\"kernel\":\"first_stage\"}\n");
-  std::ostringstream out;
-  const ServeSummary summary = service.run(in, out, &cancel);
+  const ServeSummary summary =
+      serve_through_pipes(service, "{\"kernel\":\"first_stage\"}\n", &cancel)
+          .summary;
   EXPECT_TRUE(summary.interrupted);
   EXPECT_EQ(summary.requests, 0u);
 }
@@ -262,22 +257,20 @@ TEST(Service, EvaluationDomainFailureIsNumeric) {
   // rho = 1 at p=1 with det:2 service: the model rejects the operating
   // point — a numeric error, not a usage error (the request was valid).
   Service service(ServeOptions{});
-  std::istringstream in(
+  const std::string input =
       R"({"kernel":"later_stages","params":{"p":1.0,"service":"det:2"}})"
-      "\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const io::Json doc = io::Json::parse(lines_of(out.str()).at(0));
+      "\n";
+  const io::Json doc = io::Json::parse(
+      lines_of(serve_through_pipes(service, input).output).at(0));
   EXPECT_FALSE(doc.at("ok").as_bool());
   EXPECT_EQ(doc.at("error").at("kind").as_string(), "numeric");
 }
 
 TEST(Service, ReportCarriesServeCountersAndCacheStats) {
   Service service(ServeOptions{});
-  std::istringstream in(
-      "{\"kernel\":\"first_stage\"}\n{\"kernel\":\"first_stage\"}\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
+  serve_through_pipes(service,
+                      "{\"kernel\":\"first_stage\"}\n"
+                      "{\"kernel\":\"first_stage\"}\n");
   const io::Json report = service.report(/*include_wall=*/false);
   EXPECT_EQ(report.at("schema").as_string(), "ksw.obs.report/v1");
   EXPECT_EQ(report.at("command").as_string(), "serve");
@@ -390,7 +383,7 @@ TEST(Service, RunListenServesASocketConnection) {
 
 TEST(Service, OverlongLineEndsTheStream) {
   // Requests before the overlong line are answered; the line and all
-  // after it are not, on the fd loop (stdin mode) and the stream loop.
+  // after it are not.
   const std::string before = R"({"kernel":"first_stage","id":1})" "\n";
   const std::string input = before + std::string(kMaxLineBytes + 4096, 'x') +
                             "\n" + R"({"kernel":"first_stage","id":2})" "\n";
@@ -430,24 +423,10 @@ TEST(Service, OverlongLineEndsTheStream) {
   std::string output;
   ASSERT_TRUE(read_until_eof(out_pipe[0], &output, std::chrono::seconds(5)));
   ::close(out_pipe[0]);
-  auto lines = lines_of(output);
+  const auto lines = lines_of(output);
   ASSERT_EQ(lines.size(), 1u) << output.substr(0, 200);
   EXPECT_EQ(io::Json::parse(lines[0]).at("id").as_int(), 1);
 
-  Service stream_service(ServeOptions{});
-  std::istringstream in(input);
-  std::ostringstream out;
-  threw = false;
-  try {
-    stream_service.run(in, out, nullptr);
-  } catch (const ksw::Error& e) {
-    threw = true;
-    expect_cap_error(e);
-  }
-  EXPECT_TRUE(threw) << "run answered past the overlong line";
-  lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(io::Json::parse(lines[0]).at("id").as_int(), 1);
 }
 
 TEST(Service, RunListenClosesAnOverlongConnectionAndKeepsAccepting) {
@@ -508,10 +487,8 @@ TEST(Service, MultiThreadedRepeatedTuplesStayBitIdentical) {
   for (int i = 0; i < 256; ++i)
     in_text << R"({"kernel":"total_delay","id":)" << i
             << R"(,"params":{"stages":)" << (i % 4 + 2) << "}}\n";
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const auto lines = lines_of(out.str());
+  const auto lines =
+      lines_of(serve_through_pipes(service, in_text.str()).output);
   ASSERT_EQ(lines.size(), 256u);
   std::vector<std::string> canonical(4);
   for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -557,11 +534,9 @@ TEST(Service, InBatchDuplicatesAreDeterministic) {
     opts.threads = 8;
     opts.batch = 64;
     Service service(opts);
-    std::istringstream in(input);
-    std::ostringstream out;
-    service.run(in, out, nullptr);
-    if (run == 0) reference = out.str();
-    ASSERT_EQ(out.str(), reference) << "run " << run;
+    const std::string output = serve_through_pipes(service, input).output;
+    if (run == 0) reference = output;
+    ASSERT_EQ(output, reference) << "run " << run;
     EXPECT_EQ(service.cache().stats().misses, 8u) << "run " << run;
     EXPECT_EQ(service.cache().stats().hits, 56u) << "run " << run;
     const io::Json counters =
@@ -589,10 +564,7 @@ TEST(Service, InBatchDuplicatesAllEvaluateWithTheCacheOff) {
   opts.threads = 8;
   opts.cache_mb = 0;
   Service service(opts);
-  std::istringstream in(input);
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const auto lines = lines_of(out.str());
+  const auto lines = lines_of(serve_through_pipes(service, input).output);
   ASSERT_EQ(lines.size(), 64u);
   for (const std::string& line : lines)
     EXPECT_FALSE(io::Json::parse(line).at("cached").as_bool()) << line;
@@ -606,14 +578,12 @@ TEST(Service, RepeatOfAFailedLeaderFailsTheSameWay) {
   ServeOptions opts;
   opts.threads = 4;
   Service service(opts);
-  std::istringstream in(
+  const std::string input =
       R"({"kernel":"first_stage","id":1,"params":{"p":1.0,"service":"det:2"}})"
       "\n"
       R"({"kernel":"first_stage","id":2,"params":{"p":1.0,"service":"det:2"}})"
-      "\n");
-  std::ostringstream out;
-  service.run(in, out, nullptr);
-  const auto lines = lines_of(out.str());
+      "\n";
+  const auto lines = lines_of(serve_through_pipes(service, input).output);
   ASSERT_EQ(lines.size(), 2u);
   for (const std::string& line : lines) {
     const io::Json doc = io::Json::parse(line);
@@ -629,17 +599,16 @@ TEST(Service, SubnormalParameterIsAnInBandUsageError) {
   // end the serve loop; it must answer in-band while the rest of the
   // batch is served.
   Service service(ServeOptions{});
-  std::istringstream in(
+  const std::string input =
       R"({"kernel":"first_stage","id":1})"
       "\n"
       R"({"kernel":"first_stage","id":2,"params":{"p":1e-320}})"
       "\n"
       R"({"kernel":"later_stages","id":3})"
-      "\n");
-  std::ostringstream out;
-  const ServeSummary summary = service.run(in, out, nullptr);
+      "\n";
+  const auto [summary, output] = serve_through_pipes(service, input);
   EXPECT_EQ(summary.responses, 3u);
-  const auto lines = lines_of(out.str());
+  const auto lines = lines_of(output);
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_TRUE(io::Json::parse(lines[0]).at("ok").as_bool());
   const io::Json bad = io::Json::parse(lines[1]);
