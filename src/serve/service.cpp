@@ -189,6 +189,9 @@ Service::Service(ServeOptions opts)
   service_us_ = &registry_.histogram("serve.service_us", 0.0, 25.0, 400);
   queue_us_ = &registry_.histogram("serve.queue_us", 0.0, 25.0, 400);
   batch_wall_ = &registry_.timer("serve.batch_wall");
+  // pool.task_wait shows a lane that starts late; pool.task_run over
+  // serve.batch_wall gives the report's worker_utilization.
+  pool_.attach_metrics(&registry_);
 }
 
 void Service::serve_batch(std::vector<Request> batch, std::string* out,
@@ -570,6 +573,17 @@ io::Json Service::report(bool include_wall) const {
     latency.set("queue_p50_us", queue_us_->quantile(0.5));
     latency.set("queue_p99_us", queue_us_->quantile(0.99));
     doc.set("latency", std::move(latency));
+  }
+
+  // Every pool task runs inside a batch, so this is the share of the
+  // workers' batch time spent running tasks. Wall-derived, so opt-in.
+  if (include_wall) {
+    const double busy = registry_.timers().at("pool.task_run")->seconds();
+    const double span = batch_wall_->seconds() *
+                        static_cast<double>(pool_.thread_count());
+    io::Json pool = io::Json::object();
+    pool.set("worker_utilization", span > 0.0 ? busy / span : 0.0);
+    doc.set("pool", std::move(pool));
   }
   return doc;
 }

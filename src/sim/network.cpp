@@ -31,6 +31,12 @@
 //     sweeping the whole topology. Bits are walked in ascending port
 //     order — the exact order of the seed engine's full sweep, which is
 //     what makes bit-identity possible.
+//   * Infinite-buffer runs walk the stages downstream-first (n-1 down to
+//     0), so a packet forwarded into an empty queue is not visited again
+//     in the cycle it was forwarded; finite buffers keep the reference's
+//     upstream-first walk, which their admission reads. The one figure
+//     the order moves, the downstream peak read at push time, is
+//     corrected by a per-queue last-start cycle (see kDownstreamFirst).
 //   * Each stage's walk is a chunked two-pass sweep over the materialized
 //     candidate list. Pass A reads each head (ring slots prefetched
 //     kLookahead queues ahead), computes its wait and route, and builds
@@ -184,6 +190,22 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
   std::vector<std::int64_t> busy_until(
       sample_busy ? static_cast<std::size_t>(n) * ports : 0, 0);
 
+  // Walk order. With infinite buffers nothing stage s+1 reads in cycle t is
+  // written by stage s in cycle t (a forwarded packet is stamped after t
+  // and joins the tail), so the stages are walked n-1 down to 0 and a
+  // packet forwarded into an empty queue is not visited again this cycle.
+  // Finite buffers walk 0 up to n-1: admission reads the downstream
+  // occupancy before that stage serves, the order run_network_reference
+  // defines.
+  constexpr bool kDownstreamFirst = !kFinite;
+  // The downstream peak read at push time is the upstream-first walk's:
+  // it counts the head that stage s+1 already popped this cycle. last_start
+  // is the cycle each queue last started a service, kept only when the
+  // peak is.
+  std::vector<std::int64_t> last_start(
+      kDownstreamFirst && obs_on ? static_cast<std::size_t>(n) * ports : 0,
+      -1);
+
   // Swept on the bench workload (k=4, 6 stages, rho=0.8): lookahead 4
   // beat 2/8/16, block 64 beat 16/32/128, and prefetching the downstream
   // tail slot was a net loss (the write misses overlap fine on their own).
@@ -246,8 +268,9 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
         }
       }
 
-      // --- Service, stage by stage -----------------------------------------
-      for (unsigned s = 0; s < n; ++s) {
+      // --- Service, stage by stage (order: kDownstreamFirst) ---------------
+      for (unsigned step = 0; step < n; ++step) {
+        const unsigned s = kDownstreamFirst ? n - 1 - step : step;
         Sched& sched = active[s];
         if constexpr (kSampled) sched.expire(t);
         cand.clear();
@@ -335,6 +358,8 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
             std::uint32_t service = 1;
             if constexpr (kSampled) service = mv.pkt.service;
             if (sample_busy) busy_until[q] = t + service;
+            if constexpr (kInstr && kDownstreamFirst)
+              if (obs_on) last_start[q] = t;
             if constexpr (kFinite) flow.on_service_start(s, q, t);
             pool.pop(q);
             if (pool.empty(q)) sched.clear_occupied(mv.addr);
@@ -342,7 +367,12 @@ NetworkResults run_engine(const NetworkConfig& cfg, const Topology& topo) {
               if constexpr (kFinite) flow.on_forward(nq);
               pool.push(nq, mv.pkt);
               active[s + 1].mark_occupied(mv.next_addr);
-              if (obs_on) peak_down = std::max(peak_down, pool.size(nq));
+              if (obs_on) {
+                std::size_t depth = pool.size(nq);
+                if constexpr (kInstr && kDownstreamFirst)
+                  depth += last_start[nq] == t;  // popped earlier this cycle
+                peak_down = std::max(peak_down, depth);
+              }
             } else {
               if constexpr (Pkt::kWide)
                 if (corr_on) {

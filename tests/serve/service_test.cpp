@@ -285,6 +285,30 @@ TEST(Service, ReportCarriesServeCountersAndCacheStats) {
             report.at("latency").at("p50_us").as_double());
 }
 
+TEST(Service, ReportCarriesPoolLayers) {
+  // The evaluation pool reports into the service's registry, so a lane
+  // that starts late shows as pool.task_wait beside the serve.* layers.
+  ServeOptions opts;
+  opts.threads = 2;
+  Service service(opts);
+  serve_through_pipes(service,
+                      "{\"kernel\":\"first_stage\"}\n"
+                      "{\"kernel\":\"later_stages\"}\n");
+  const io::Json report = service.report(/*include_wall=*/true);
+  const io::Json& timers = report.at("metrics").at("timers");
+  EXPECT_GT(timers.at("pool.task_wait").at("calls").as_int(), 0);
+  EXPECT_GT(timers.at("pool.task_run").at("calls").as_int(), 0);
+  EXPECT_GT(timers.at("serve.batch_wall").at("calls").as_int(), 0);
+  EXPECT_EQ(report.at("metrics").at("gauges").at("pool.workers").as_double(),
+            2.0);
+  const double utilization =
+      report.at("pool").at("worker_utilization").as_double();
+  EXPECT_GT(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0);
+  // Wall-derived, so absent from the deterministic report.
+  EXPECT_FALSE(service.report(false).contains("pool"));
+}
+
 TEST(Service, RunFdServesAPipe) {
   int in_pipe[2];
   int out_pipe[2];

@@ -273,6 +273,51 @@ TEST(EngineEquivalence, FastEngineBulkArrivals) {
   expect_bit_identical(cfg);
 }
 
+// ---- Walk order ----------------------------------------------------------
+// Infinite-buffer runs walk the stages downstream-first, the reference
+// upstream-first. These configs are where a wrong order would show: a
+// forward into an empty queue served again in the same cycle, several
+// forwards into one queue, and the downstream peak depth read at push time.
+
+TEST(EngineEquivalence, DownstreamFirstWalkAtVeryLightLoad) {
+  // p = 0.02 over 10 stages: nearly every forward lands in an empty queue.
+  NetworkConfig cfg = fast_config();
+  cfg.stages = 10;
+  cfg.p = 0.02;
+  cfg.measure_cycles = 5'000;
+  cfg.total_checkpoints = {1, 5, 10};
+  cfg.seed = 2;
+  expect_bit_identical(cfg);
+}
+
+TEST(EngineEquivalence, DownstreamFirstWalkBulkIntoOneQueue) {
+  // Bulk 4 at k = 4: a port injects four packets for one destination, so
+  // several forwards enter one downstream queue in the same cycle.
+  NetworkConfig cfg = fast_config();
+  cfg.k = 4;
+  cfg.stages = 3;
+  cfg.bulk = 4;
+  cfg.p = 0.05;
+  cfg.total_checkpoints = {1, 3};
+  cfg.seed = 8;
+  expect_bit_identical(cfg);
+}
+
+TEST(EngineEquivalence, DownstreamFirstWalkKeepsThePeakDepth) {
+  // Every-cycle samples plus the convergence trace: the downstream peak
+  // must count the head its stage popped earlier in the cycle.
+  NetworkConfig cfg = base_config();
+  cfg.k = 4;
+  cfg.stages = 3;
+  cfg.bulk = 2;
+  cfg.p = 0.35;
+  cfg.total_checkpoints = {1, 3};
+  cfg.obs.stride = 1;
+  cfg.obs.trace_points = 9;
+  cfg.seed = 13;
+  expect_bit_identical(cfg);
+}
+
 TEST(EngineEquivalence, FastEngineForcedScalarMatchesWidestSimd) {
   // The dispatch level must never change a single bit: run the identical
   // config once per level and compare through the reference oracle. This
