@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <stdexcept>
 
 #include "kswsim/cli.hpp"
@@ -115,6 +116,19 @@ Format parse_format(const ArgMap& args) {
   if (fmt == "csv") return Format::kCsv;
   throw usage_error("--format: expected table|json|csv, got " +
                               fmt);
+}
+
+void check_network_config(const sim::NetworkConfig& cfg,
+                          const std::map<std::string, std::string>& renamed) {
+  try {
+    sim::check(cfg);
+  } catch (const sim::ConfigError& e) {
+    std::string option = e.field;
+    std::replace(option.begin(), option.end(), '_', '-');
+    const auto it = renamed.find(e.field);
+    if (it != renamed.end()) option = it->second;
+    throw usage_error("--" + option + ": " + e.what());
+  }
 }
 
 }  // namespace ksw::cli

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/network.hpp"
 #include "sim/service_spec.hpp"
 
 namespace ksw::cli {
@@ -67,6 +68,13 @@ enum class Format { kTable, kJson, kCsv };
 /// Parse a service-spec string: "det:M", "geo:MU", or
 /// "multi:M1@P1,M2@P2,...". Throws std::invalid_argument on syntax errors.
 [[nodiscard]] sim::ServiceSpec parse_service(const std::string& text);
+
+/// sim::check(cfg), reporting a rejected field as a usage error that names
+/// the option setting it: "--<option>: <rule>". `renamed` maps the
+/// NetworkConfig fields a command spells differently; any other field
+/// "x_y" is the option --x-y.
+void check_network_config(const sim::NetworkConfig& cfg,
+                          const std::map<std::string, std::string>& renamed);
 
 // Subcommands: return a process exit code.
 int cmd_analyze(const ArgMap& args, std::ostream& out, std::ostream& err);

@@ -19,35 +19,31 @@ int cmd_calibrate(const ArgMap& args, std::ostream& out, std::ostream& err) {
   const Format format = parse_format(args);
   const unsigned k = args.get_unsigned("k", 2);
   const double rho = args.get_double("rho", 0.5);
-  const unsigned stages_n = args.get_unsigned("stages", 8);
-  const auto cycles = args.get_int("cycles", 100'000);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  sim::NetworkConfig cfg;
+  cfg.k = k;
+  cfg.p = rho;
+  cfg.stages = args.get_unsigned("stages", 8);
+  cfg.measure_cycles = args.get_int("cycles", 100'000);
+  cfg.warmup_cycles = cfg.measure_cycles / 10;
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   const auto unknown = args.unused();
   if (!unknown.empty()) {
     err << "calibrate: unknown option --" << unknown.front() << "\n";
     return 2;
   }
-
-  sim::NetworkConfig cfg;
-  cfg.k = k;
-  cfg.stages = stages_n;
-  cfg.p = rho;
-  cfg.seed = seed;
-  cfg.warmup_cycles = cycles / 10;
-  cfg.measure_cycles = cycles;
+  check_network_config(cfg, {{"p", "rho"},
+                             {"warmup_cycles", "cycles"},
+                             {"measure_cycles", "cycles"}});
   const auto r = sim::run_network(cfg);
 
   std::vector<core::StageObservation> obs;
-  for (unsigned s = 0; s < stages_n; ++s)
+  for (unsigned s = 0; s < cfg.stages; ++s)
     obs.push_back(
         {s + 1, r.stage_wait[s].mean(), r.stage_wait[s].variance()});
   const auto limit = core::limit_estimate(obs, 2);
 
-  core::NetworkTrafficSpec spec;
-  spec.k = k;
-  spec.p = rho;
-  const core::LaterStages ls(spec);
+  const core::LaterStages ls(sim::traffic_spec(cfg));
 
   const double mean_coeff =
       core::fit_mean_coeff(ls.mean_first_stage(), limit.mean, rho, k);

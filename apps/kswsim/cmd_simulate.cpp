@@ -16,6 +16,8 @@
 // trace against the paper's eq. 12 prediction. The report is bit-identical
 // for a fixed seed regardless of --threads; --obs-wall adds wall-clock
 // phase durations and thread-pool telemetry, which are not.
+#include <cctype>
+#include <cstdlib>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -40,18 +42,14 @@ namespace {
 
 std::vector<unsigned> parse_checkpoints(const std::string& text) {
   std::vector<unsigned> out;
-  if (text.empty()) return out;
   std::stringstream ss(text);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    std::size_t pos = 0;
-    const long v = std::stol(item, &pos);
-    if (pos != item.size() || v <= 0)
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(item[0])) || *end != '\0' ||
+        v > 0xffffffffull)
       throw usage_error("--checkpoints: bad value " + item);
-    if (!out.empty() && static_cast<unsigned>(v) <= out.back())
-      throw usage_error(
-          "--checkpoints: values must be strictly increasing (got " + item +
-          " after " + std::to_string(out.back()) + ")");
     out.push_back(static_cast<unsigned>(v));
   }
   return out;
@@ -63,13 +61,7 @@ std::vector<unsigned> parse_checkpoints(const std::string& text) {
 std::vector<double> eq12_predictions(const sim::NetworkConfig& cfg,
                                      std::optional<double>* limit) {
   try {
-    core::NetworkTrafficSpec spec;
-    spec.k = cfg.k;
-    spec.p = cfg.p;
-    spec.bulk = cfg.bulk;
-    spec.q = cfg.q;
-    spec.service = cfg.service.to_model();
-    const core::LaterStages ls(spec);
+    const core::LaterStages ls(sim::traffic_spec(cfg));
     std::vector<double> pred;
     pred.reserve(cfg.stages);
     for (unsigned i = 1; i <= cfg.stages; ++i)
@@ -194,21 +186,6 @@ int cmd_simulate(const ArgMap& args, std::ostream& out, std::ostream& err) {
                       "\"");
   }
   cfg.credit_latency = args.get_unsigned("credit-latency", 2);
-  if (cfg.flow != sim::FlowControl::kCutThrough && cfg.buffer_capacity == 0)
-    throw usage_error("--flow=" + flow +
-                      " requires a finite --buffer-capacity");
-  if (cfg.flow == sim::FlowControl::kCredit && cfg.credit_latency == 0)
-    throw usage_error("--credit-latency must be >= 1");
-  // Fail the out-of-range hotspot target eagerly as a usage error (exit 2)
-  // instead of surfacing the engine's invalid_argument later.
-  {
-    std::uint64_t ports = 1;
-    for (unsigned i = 0; i < cfg.stages && ports <= 0xffffffffull; ++i)
-      ports *= cfg.k;
-    if (cfg.hotspot_target >= ports)
-      throw usage_error("--hotspot-target: must name a port < k^stages (" +
-                        std::to_string(ports) + ")");
-  }
   cfg.track_correlations = args.get_flag("correlations");
   cfg.total_checkpoints = parse_checkpoints(args.get("checkpoints", ""));
   const unsigned replicates = args.get_unsigned("replicates", 1);
@@ -227,24 +204,22 @@ int cmd_simulate(const ArgMap& args, std::ostream& out, std::ostream& err) {
     err << "simulate: unknown option --" << unknown.front() << "\n";
     return 2;
   }
+  check_network_config(cfg, {{"warmup_cycles", "warmup"},
+                             {"measure_cycles", "cycles"},
+                             {"track_correlations", "correlations"},
+                             {"total_checkpoints", "checkpoints"}});
   if (!fault_plan.empty()) fault::load_plan(fault_plan);
 
   obs::Registry pool_metrics;
   sim::NetworkResults r;
-  try {
-    if (replicates > 1) {
-      par::ThreadPool pool(threads);
-      if (cfg.obs.enabled) pool.attach_metrics(&pool_metrics);
-      obs::ScopedTimer elapsed(
-          cfg.obs.enabled ? &pool_metrics.timer("pool.elapsed") : nullptr);
-      r = sim::replicate_network(cfg, replicates, pool);
-    } else {
-      r = sim::run_network(cfg);
-    }
-  } catch (const std::invalid_argument& e) {
-    // The engine's config validation (cycle counts, checkpoints, ...):
-    // every rejection traces back to an option value.
-    throw usage_error(e.what());
+  if (replicates > 1) {
+    par::ThreadPool pool(threads);
+    if (cfg.obs.enabled) pool.attach_metrics(&pool_metrics);
+    obs::ScopedTimer elapsed(
+        cfg.obs.enabled ? &pool_metrics.timer("pool.elapsed") : nullptr);
+    r = sim::replicate_network(cfg, replicates, pool);
+  } else {
+    r = sim::run_network(cfg);
   }
 
   if (!metrics_out.empty()) {

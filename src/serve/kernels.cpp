@@ -30,16 +30,6 @@ core::QueueSpec first_stage_queue(const Query& q) {
   return core::QueueSpec{std::move(arrivals), service.to_model()};
 }
 
-core::NetworkTrafficSpec traffic_spec(const Query& q) {
-  core::NetworkTrafficSpec spec;
-  spec.k = q.k;
-  spec.p = q.p;
-  spec.bulk = q.bulk;
-  spec.q = q.q;
-  spec.service = sim::ServiceSpec::parse(q.service).to_model();
-  return spec;
-}
-
 /// The moments go through io::Json; the N distribution terms are appended
 /// straight from the term vector, in the same key order, since one
 /// io::Json node per term cost more than formatting it.
@@ -75,7 +65,7 @@ std::string eval_first_stage(const Query& q) {
 }
 
 io::Json eval_later_stages(const Query& q) {
-  const core::LaterStages ls(traffic_spec(q));
+  const core::LaterStages ls(sim::traffic_spec(sim_config(q, 0)));
   io::Json result = io::Json::object();
   result.set("rho", ls.spec().rho());
   result.set("w1", ls.mean_first_stage());
@@ -116,7 +106,7 @@ io::Json eval_closed_form(const Query& q) {
 }
 
 io::Json eval_total_delay(const Query& q) {
-  const core::LaterStages ls(traffic_spec(q));
+  const core::LaterStages ls(sim::traffic_spec(sim_config(q, 0)));
   const core::TotalDelay td(ls, q.stages);
   const auto gamma = td.gamma_approximation();
   io::Json result = io::Json::object();
@@ -135,28 +125,6 @@ io::Json eval_total_delay(const Query& q) {
     qs.set(tables::format_number(prob, 3), gamma.quantile(prob));
   result.set("quantiles", std::move(qs));
   return result;
-}
-
-/// NetworkConfig for one simulation kernel run. depth == 0 is the
-/// infinite-queue baseline (buffer_sweep's convergence reference); the
-/// flow scheme only applies to finite depths.
-sim::NetworkConfig sim_config(const Query& q, unsigned depth) {
-  sim::NetworkConfig cfg;
-  cfg.k = q.k;
-  cfg.stages = q.stages;
-  cfg.p = q.p;
-  cfg.bulk = q.bulk;
-  cfg.q = q.q;
-  cfg.service = sim::ServiceSpec::parse(q.service);
-  cfg.warmup_cycles = q.warmup;
-  cfg.measure_cycles = q.cycles;
-  cfg.buffer_capacity = depth;
-  if (depth > 0) {
-    cfg.flow = sim::parse_flow_control(q.flow);
-    if (cfg.flow == sim::FlowControl::kCredit)
-      cfg.credit_latency = q.credit_latency;
-  }
-  return cfg;
 }
 
 /// One depth point: replicate sequentially (the service evaluates one
@@ -178,8 +146,7 @@ io::Json sim_point(const Query& q, unsigned depth) {
       merged.merge(one);
   }
 
-  double ports = 1.0;
-  for (unsigned i = 0; i < q.stages; ++i) ports *= q.k;
+  const auto ports = static_cast<double>(sim::port_count(q.k, q.stages));
   const double offered = static_cast<double>(merged.packets_injected +
                                              merged.packets_dropped);
   const double accept_ratio =
@@ -216,12 +183,10 @@ io::Json sim_tuple(const Query& q) {
   io::Json tuple = io::Json::object();
   tuple.set("k", static_cast<std::int64_t>(q.k));
   tuple.set("stages", static_cast<std::int64_t>(q.stages));
-  double ports = 1.0;
-  for (unsigned i = 0; i < q.stages; ++i) ports *= q.k;
-  tuple.set("ports", ports);
+  tuple.set("ports", static_cast<double>(sim::port_count(q.k, q.stages)));
   tuple.set("rho", sim_config(q, 0).rho());
-  tuple.set("flow", q.flow);
-  if (q.flow == "credit")
+  tuple.set("flow", sim::to_string(q.flow));
+  if (q.flow == sim::FlowControl::kCredit)
     tuple.set("credit_latency", static_cast<std::int64_t>(q.credit_latency));
   tuple.set("cycles", static_cast<std::int64_t>(q.cycles));
   tuple.set("warmup", static_cast<std::int64_t>(q.warmup));

@@ -96,29 +96,23 @@ Kernel parse_kernel(const std::string& name) {
               "\"");
 }
 
-/// Shared validation of the finite_buffer/buffer_sweep simulation tuple
+/// Shared parsing of the finite_buffer/buffer_sweep simulation tuple
 /// (everything except depth/depths). Simulation kernels are the only
-/// ones whose cost scales with the tuple, so hard caps live here.
+/// ones whose cost scales with the tuple, so serve's cost caps live here;
+/// the domain rules are sim::check's (check_sim_depth).
 void parse_sim_tuple(Query& query, const io::Json& params) {
   query.stages = read_unsigned(params, "stages", 3, 1);
-  if (query.k < 2) bad_request("params.k: simulation kernels need k >= 2");
-  // ports = k^stages, capped at 4096 (overflow-safe: stop early).
-  std::uint64_t ports = 1;
-  for (unsigned i = 0; i < query.stages; ++i) {
-    ports *= query.k;
-    if (ports > 4096)
-      bad_request("params.stages: k^stages must stay <= 4096 ports");
-  }
-  query.flow = read_string(params, "flow", "vct");
-  if (query.flow != "vct" && query.flow != "saf" && query.flow != "credit")
+  if (sim::port_count(query.k, query.stages) > 4096)
+    bad_request("params.stages: k^stages must stay <= 4096 ports");
+  try {
+    query.flow = sim::parse_flow_control(read_string(params, "flow", "vct"));
+  } catch (const std::invalid_argument&) {
     bad_request("params.flow: expected vct|saf|credit");
-  if (query.flow == "credit") {
-    query.credit_latency = read_unsigned(params, "credit_latency", 2, 1);
-    if (query.credit_latency > 1024)
-      bad_request("params.credit_latency: at most 1024 cycles");
-  } else if (params.contains("credit_latency")) {
-    bad_request("params.credit_latency: only meaningful with flow=credit");
   }
+  if (query.flow == sim::FlowControl::kCredit)
+    query.credit_latency = read_unsigned(params, "credit_latency", 2);
+  else if (params.contains("credit_latency"))
+    bad_request("params.credit_latency: only meaningful with flow=credit");
   query.cycles = read_unsigned(params, "cycles", 20'000, 1);
   if (query.cycles > 200'000)
     bad_request("params.cycles: at most 200000 measured cycles");
@@ -129,6 +123,20 @@ void parse_sim_tuple(Query& query, const io::Json& params) {
   if (query.replicates > 8)
     bad_request("params.replicates: at most 8 replicates");
   query.seed = read_unsigned(params, "seed", 1);
+}
+
+/// sim::check on the config the kernel runs at `depth`; a rejected field
+/// is named by its params key.
+void check_sim_depth(const Query& query, unsigned depth) {
+  try {
+    sim::check(sim_config(query, depth));
+  } catch (const sim::ConfigError& e) {
+    const std::string field = e.field;
+    const std::string key = field == "measure_cycles"  ? "cycles"
+                            : field == "warmup_cycles" ? "warmup"
+                                                       : field;
+    bad_request("params." + key + ": " + e.what());
+  }
 }
 
 Query parse_query(Kernel kernel, const io::Json& params) {
@@ -203,6 +211,7 @@ Query parse_query(Kernel kernel, const io::Json& params) {
       query.depth = read_unsigned(params, "depth", 4, 1);
       if (query.depth > 1024)
         bad_request("params.depth: at most 1024 slots per queue");
+      check_sim_depth(query, query.depth);
       break;
     case Kernel::kBufferSweep: {
       check_keys(params, {"k", "p", "bulk", "q", "service", "stages",
@@ -230,6 +239,8 @@ Query parse_query(Kernel kernel, const io::Json& params) {
           bad_request("params.depths: must be strictly ascending");
         query.depths.push_back(static_cast<unsigned>(v));
       }
+      check_sim_depth(query, 0);  // the infinite-queue baseline
+      for (const unsigned depth : query.depths) check_sim_depth(query, depth);
       break;
     }
     case Kernel::kClosedForm: {
@@ -267,6 +278,24 @@ Query parse_query(Kernel kernel, const io::Json& params) {
 }
 
 }  // namespace
+
+sim::NetworkConfig sim_config(const Query& q, unsigned depth) {
+  sim::NetworkConfig cfg;
+  cfg.k = q.k;
+  cfg.stages = q.stages;
+  cfg.p = q.p;
+  cfg.bulk = q.bulk;
+  cfg.q = q.q;
+  cfg.service = sim::ServiceSpec::parse(q.service);
+  cfg.warmup_cycles = q.warmup;
+  cfg.measure_cycles = q.cycles;
+  cfg.buffer_capacity = depth;
+  if (depth > 0) {
+    cfg.flow = q.flow;
+    cfg.credit_latency = q.credit_latency;  // 0, and unread, unless credit
+  }
+  return cfg;
+}
 
 const char* kernel_name(Kernel kernel) noexcept {
   switch (kernel) {
@@ -312,7 +341,7 @@ std::string Query::canonical() const {
     case Kernel::kFiniteBuffer:
       os << "\"bulk\":" << bulk << ",\"credit_latency\":" << credit_latency
          << ",\"cycles\":" << cycles << ",\"depth\":" << depth
-         << ",\"flow\":\"" << flow << "\",\"k\":" << k
+         << ",\"flow\":\"" << sim::to_string(flow) << "\",\"k\":" << k
          << ",\"p\":" << hexfloat(p) << ",\"q\":" << hexfloat(q)
          << ",\"replicates\":" << replicates << ",\"seed\":" << seed
          << ",\"service\":\"" << service << "\",\"stages\":" << stages
@@ -323,7 +352,7 @@ std::string Query::canonical() const {
          << ",\"cycles\":" << cycles << ",\"depths\":[";
       for (std::size_t i = 0; i < depths.size(); ++i)
         os << (i ? "," : "") << depths[i];
-      os << "],\"flow\":\"" << flow << "\",\"k\":" << k
+      os << "],\"flow\":\"" << sim::to_string(flow) << "\",\"k\":" << k
          << ",\"p\":" << hexfloat(p) << ",\"q\":" << hexfloat(q)
          << ",\"replicates\":" << replicates << ",\"seed\":" << seed
          << ",\"service\":\"" << service << "\",\"stages\":" << stages

@@ -21,6 +21,7 @@
 
 #include "io/json.hpp"
 #include "obs/span.hpp"
+#include "sim/network.hpp"
 
 namespace ksw::serve {
 
@@ -34,7 +35,8 @@ inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 /// network simulation, which is still a pure function of the tuple (seeds
 /// are part of it) so caching stays sound — but cost scales with
 /// ports x cycles x replicates, hence the hard caps enforced at parse
-/// time (ports <= 4096, cycles <= 200000, replicates <= 8, depths <= 16).
+/// time (ports <= 4096, cycles <= 200000, replicates <= 8, depths <= 16)
+/// on top of the engine's own domain check, sim::check.
 enum class Kernel {
   kFirstStage,    ///< Theorem 1: exact first-stage moments + distribution
   kLaterStages,   ///< Section IV: eq. 11-14 stage estimates
@@ -85,11 +87,11 @@ struct Query {
 
   // finite_buffer / buffer_sweep simulation tuple. `stages` above is
   // shared (these kernels default it to 3). credit_latency is normalized
-  // to 0 at parse time unless flow == "credit", so requests that differ
+  // to 0 at parse time unless flow is credit, so requests that differ
   // only in an inert credit_latency share a cache entry.
   unsigned depth = 4;            ///< finite_buffer: buffer slots per queue
   std::vector<unsigned> depths;  ///< buffer_sweep: ascending depth grid
-  std::string flow = "vct";      ///< vct | saf | credit
+  sim::FlowControl flow = sim::FlowControl::kCutThrough;  ///< vct|saf|credit
   unsigned credit_latency = 0;   ///< credit only: return latency (cycles)
   unsigned cycles = 20'000;      ///< measured cycles per replicate
   unsigned warmup = 2'000;       ///< warmup cycles per replicate
@@ -101,6 +103,13 @@ struct Query {
   /// hexfloats, the service spec verbatim.
   [[nodiscard]] std::string canonical() const;
 };
+
+/// The simulator config of a query at one buffer depth: its traffic tuple
+/// (all the analytic network kernels read) plus, for finite_buffer and
+/// buffer_sweep, the simulated network. Depth 0 is infinite queues (the
+/// buffer_sweep baseline), where the flow scheme does not apply.
+/// Request::parse checks it at every depth a simulation kernel runs.
+[[nodiscard]] sim::NetworkConfig sim_config(const Query& q, unsigned depth);
 
 /// One parsed request line. `error_kind` empty means the request is valid
 /// and `query` is meaningful; otherwise the request already failed and

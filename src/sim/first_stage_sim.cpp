@@ -33,12 +33,11 @@ FirstStageResults run_first_stage(const FirstStageConfig& cfg) {
     throw std::invalid_argument("run_first_stage: q outside [0,1]");
   if (cfg.bulk == 0)
     throw std::invalid_argument("run_first_stage: bulk == 0");
-  detail::validate_cycles("run_first_stage", cfg.warmup_cycles,
-                          cfg.measure_cycles);
+  detail::validate_cycles(cfg.warmup_cycles, cfg.measure_cycles);
   if (!(cfg.hotspot >= 0.0 && cfg.hotspot <= 1.0))
     throw std::invalid_argument("run_first_stage: hotspot outside [0,1]");
   // Range-checked on every construction path, even when hotspot == 0 —
-  // mirrors validate_hotspot_target in the network engine.
+  // mirrors sim::check's hotspot_target rule for the network.
   if (cfg.hotspot_target >= cfg.s)
     throw std::invalid_argument(
         "run_first_stage: hotspot_target must name an output < s");

@@ -26,7 +26,7 @@ struct FirstStageConfig {
   /// Hot-spot extension, mirroring NetworkConfig: with this probability a
   /// batch targets `hotspot_target` regardless of q. hotspot_target must
   /// name a valid output (< s) on every construction path; the check runs
-  /// even when hotspot == 0, like the network's validate_hotspot_target.
+  /// even when hotspot == 0, like sim::check's network rule.
   double hotspot = 0.0;
   std::uint32_t hotspot_target = 0;
   ServiceSpec service = ServiceSpec::deterministic(1);

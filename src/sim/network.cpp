@@ -481,9 +481,8 @@ void NetworkResults::merge(const NetworkResults& other) {
 }
 
 NetworkResults run_network(const NetworkConfig& cfg) {
-  detail::validate(cfg);
+  check(cfg);
   const Topology topo(cfg.topology, cfg.k, cfg.stages);
-  detail::validate_hotspot_target(cfg, topo.ports());
 
   const bool sampled = !cfg.service.is_unit();
   const bool finite = cfg.buffer_capacity > 0;

@@ -25,8 +25,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
+#include "core/later_stages.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/service_spec.hpp"
@@ -125,9 +127,10 @@ struct NetworkConfig {
   FlowControl flow = FlowControl::kCutThrough;
 
   /// kCredit only: cycles between a downstream service start and the
-  /// credit becoming visible upstream again. Must be >= 1; at 1 the
-  /// return is as prompt as the cycle model allows, larger values model
-  /// slower reverse links and stall upstreams earlier.
+  /// credit becoming visible upstream again. Must lie in
+  /// [1, kMaxCreditLatency]; at 1 the return is as prompt as the cycle
+  /// model allows, larger values model slower reverse links and stall
+  /// upstreams earlier.
   unsigned credit_latency = 2;
 
   /// Collect the stage-by-stage waiting covariance matrix (Table VI).
@@ -182,6 +185,39 @@ struct NetworkResults {
 
   void merge(const NetworkResults& other);
 };
+
+/// Largest credit_latency check() accepts. The credit ledger keeps one
+/// bucket per cycle of latency, so the bound keeps it small (and
+/// latency + 1 from wrapping to 0).
+inline constexpr unsigned kMaxCreditLatency = 1024;
+
+/// k^stages, exact up to kMaxPorts; any larger network returns some value
+/// above kMaxPorts (the product stops growing once past it, so it never
+/// overflows).
+[[nodiscard]] std::uint64_t port_count(unsigned k, unsigned stages) noexcept;
+
+/// A NetworkConfig value outside the model's domain: `field` names the
+/// NetworkConfig member at fault ("hotspot_target", "measure_cycles"),
+/// what() the rule it breaks. Front ends name the field in their own
+/// spelling.
+struct ConfigError : std::invalid_argument {
+  ConfigError(const char* member, const std::string& rule)
+      : std::invalid_argument(rule), field(member) {}
+  const char* field;
+};
+
+/// The one domain check of a NetworkConfig: every rule the engines rely
+/// on, from k >= 2 and k^stages <= kMaxPorts to hotspot_target < k^stages,
+/// strictly increasing total_checkpoints and credit_latency in
+/// [1, kMaxCreditLatency]. Throws ConfigError on the first violation.
+/// O(stages + checkpoints), allocation-free on success. run_network and
+/// run_network_reference call it; front ends call it before they run
+/// anything.
+void check(const NetworkConfig& cfg);
+
+/// The analytic model of cfg's traffic (k, p, bulk, q and service) that
+/// the Section IV/V estimators predict a run of cfg by.
+[[nodiscard]] core::NetworkTrafficSpec traffic_spec(const NetworkConfig& cfg);
 
 /// Run the network simulation (flat SoA queue pool + active-set scheduler;
 /// see network.cpp for the layout notes).

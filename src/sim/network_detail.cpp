@@ -27,6 +27,67 @@ FlowControl parse_flow_control(const std::string& name) {
                               name + "\"");
 }
 
+std::uint64_t port_count(unsigned k, unsigned stages) noexcept {
+  if (k < 2) return stages == 0 ? 1 : k;
+  std::uint64_t ports = 1;
+  for (unsigned i = 0; i < stages && ports <= kMaxPorts; ++i) ports *= k;
+  return ports;
+}
+
+void check(const NetworkConfig& cfg) {
+  if (cfg.k < 2) throw ConfigError("k", "k must be >= 2");
+  if (cfg.stages == 0) throw ConfigError("stages", "stages must be >= 1");
+  const std::uint64_t ports = port_count(cfg.k, cfg.stages);
+  if (ports > kMaxPorts)
+    throw ConfigError("stages", "network too large (k^stages > 2^24 ports)");
+  if (!(cfg.p >= 0.0 && cfg.p <= 1.0))
+    throw ConfigError("p", "p outside [0,1]");
+  if (!(cfg.q >= 0.0 && cfg.q <= 1.0))
+    throw ConfigError("q", "q outside [0,1]");
+  if (cfg.bulk == 0) throw ConfigError("bulk", "bulk == 0");
+  detail::validate_cycles(cfg.warmup_cycles, cfg.measure_cycles);
+  if (!(cfg.hotspot >= 0.0 && cfg.hotspot <= 1.0))
+    throw ConfigError("hotspot", "hotspot outside [0,1]");
+  if (cfg.hotspot_target >= ports)
+    throw ConfigError("hotspot_target",
+                      "hotspot_target " + std::to_string(cfg.hotspot_target) +
+                          " outside [0, ports) with ports = " +
+                          std::to_string(ports));
+  if (cfg.track_correlations && cfg.stages > kMaxTrackedStages)
+    throw ConfigError("track_correlations",
+                      "correlation tracking limited to " +
+                          std::to_string(kMaxTrackedStages) + " stages");
+  const std::vector<unsigned>& cps = cfg.total_checkpoints;
+  for (std::size_t i = 1; i < cps.size(); ++i)
+    if (cps[i] <= cps[i - 1])
+      throw ConfigError("total_checkpoints",
+                        "total checkpoints must be strictly increasing (got " +
+                            std::to_string(cps[i]) + " after " +
+                            std::to_string(cps[i - 1]) + ")");
+  if (!cps.empty() && (cps.front() == 0 || cps.back() > cfg.stages))
+    throw ConfigError("total_checkpoints",
+                      "total checkpoint outside [1, stages]");
+  if (cfg.flow != FlowControl::kCutThrough && cfg.buffer_capacity == 0)
+    throw ConfigError("buffer_capacity",
+                      std::string("flow control \"") + to_string(cfg.flow) +
+                          "\" requires a finite buffer_capacity");
+  if (cfg.flow == FlowControl::kCredit &&
+      (cfg.credit_latency == 0 || cfg.credit_latency > kMaxCreditLatency))
+    throw ConfigError("credit_latency",
+                      "credit_latency must lie in [1, " +
+                          std::to_string(kMaxCreditLatency) + "]");
+}
+
+core::NetworkTrafficSpec traffic_spec(const NetworkConfig& cfg) {
+  core::NetworkTrafficSpec spec;
+  spec.k = cfg.k;
+  spec.p = cfg.p;
+  spec.bulk = cfg.bulk;
+  spec.q = cfg.q;
+  spec.service = cfg.service.to_model();
+  return spec;
+}
+
 }  // namespace ksw::sim
 
 namespace ksw::sim::detail {
@@ -51,53 +112,14 @@ void FlowState::begin_cycle(std::int64_t t) {
   bucket.clear();
 }
 
-void validate(const NetworkConfig& cfg) {
-  if (cfg.k < 2) throw std::invalid_argument("run_network: k must be >= 2");
-  if (cfg.stages == 0)
-    throw std::invalid_argument("run_network: stages must be >= 1");
-  if (!(cfg.p >= 0.0 && cfg.p <= 1.0))
-    throw std::invalid_argument("run_network: p outside [0,1]");
-  if (!(cfg.q >= 0.0 && cfg.q <= 1.0))
-    throw std::invalid_argument("run_network: q outside [0,1]");
-  if (cfg.bulk == 0) throw std::invalid_argument("run_network: bulk == 0");
-  validate_cycles("run_network", cfg.warmup_cycles, cfg.measure_cycles);
-  if (!(cfg.hotspot >= 0.0 && cfg.hotspot <= 1.0))
-    throw std::invalid_argument("run_network: hotspot outside [0,1]");
-  if (cfg.track_correlations && cfg.stages > kMaxTrackedStages)
-    throw std::invalid_argument(
-        "run_network: correlation tracking limited to " +
-        std::to_string(kMaxTrackedStages) + " stages");
-  for (unsigned c : cfg.total_checkpoints)
-    if (c == 0 || c > cfg.stages)
-      throw std::invalid_argument(
-          "run_network: total checkpoint outside [1, stages]");
-  if (cfg.flow != FlowControl::kCutThrough && cfg.buffer_capacity == 0)
-    throw std::invalid_argument(
-        std::string("run_network: flow control \"") + to_string(cfg.flow) +
-        "\" requires a finite buffer_capacity");
-  if (cfg.flow == FlowControl::kCredit && cfg.credit_latency == 0)
-    throw std::invalid_argument(
-        "run_network: credit_latency must be >= 1");
-}
-
-void validate_cycles(const char* who, std::int64_t warmup,
-                     std::int64_t measure) {
+void validate_cycles(std::int64_t warmup, std::int64_t measure) {
   if (warmup < 0)
-    throw std::invalid_argument(std::string(who) +
-                                ": warmup_cycles must be >= 0");
+    throw ConfigError("warmup_cycles", "warmup_cycles must be >= 0");
   if (measure <= 0)
-    throw std::invalid_argument(std::string(who) +
-                                ": measure_cycles must be > 0");
+    throw ConfigError("measure_cycles", "measure_cycles must be > 0");
   if (warmup > std::numeric_limits<std::int64_t>::max() - measure)
-    throw std::invalid_argument(std::string(who) +
-                                ": warmup_cycles + measure_cycles overflows");
-}
-
-void validate_hotspot_target(const NetworkConfig& cfg, std::uint32_t ports) {
-  if (cfg.hotspot_target >= ports)
-    throw std::invalid_argument(
-        "run_network: hotspot_target " + std::to_string(cfg.hotspot_target) +
-        " outside [0, ports) with ports = " + std::to_string(ports));
+    throw ConfigError("warmup_cycles",
+                      "warmup_cycles + measure_cycles overflows");
 }
 
 std::string stage_metric(unsigned stage, const char* what) {

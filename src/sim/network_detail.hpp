@@ -3,9 +3,9 @@
 // run_network (flat SoA pool + active-set scheduler) and
 // run_network_reference (the seed full-sweep engine kept as a correctness
 // oracle) must agree bit-for-bit on every output, including telemetry.
-// Everything that is not the cycle loop itself — config validation, metric
-// naming, per-stage telemetry scaffolding, the warmup-convergence grid —
-// lives here so the engines cannot drift apart.
+// Everything that is not the cycle loop itself — metric naming, per-stage
+// telemetry scaffolding, the warmup-convergence grid — lives here so the
+// engines cannot drift apart. Both start with sim::check (network.hpp).
 #pragma once
 
 #include <cstdint>
@@ -18,13 +18,9 @@
 
 namespace ksw::sim::detail {
 
-/// Reject invalid configs (everything checkable without the topology).
-void validate(const NetworkConfig& cfg);
-
-/// Reject warmup < 0, measure <= 0 and a warmup + measure that overflows;
-/// `who` prefixes the message. Shared with run_first_stage.
-void validate_cycles(const char* who, std::int64_t warmup,
-                     std::int64_t measure);
+/// Reject warmup < 0, measure <= 0 and a warmup + measure that overflows
+/// with a ConfigError. Shared by check() and run_first_stage.
+void validate_cycles(std::int64_t warmup, std::int64_t measure);
 
 /// Build the counter-mode injection parameters for a replicate. Shared by
 /// both engines so the thresholds (and therefore the sampled bits) cannot
@@ -42,10 +38,6 @@ void validate_cycles(const char* who, std::int64_t warmup,
   prm.ports = ports;
   return prm;
 }
-
-/// Reject hotspot targets outside the port range. Separate from validate()
-/// because the port count comes from the constructed Topology.
-void validate_hotspot_target(const NetworkConfig& cfg, std::uint32_t ports);
 
 /// "sim.stageNN.<what>" — stages are 1-based and zero-padded so the
 /// registry's name order matches stage order.
@@ -101,11 +93,6 @@ struct FlowState {
     return scheme == FlowControl::kStoreAndForward
                ? t + static_cast<std::int64_t>(service)
                : t + 1;
-  }
-
-  /// Current credits for queue q (testing/telemetry; kCredit only).
-  [[nodiscard]] std::uint32_t credits(std::size_t q) const {
-    return credits_[q];
   }
 
  private:

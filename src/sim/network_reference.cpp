@@ -33,10 +33,9 @@ struct Packet {
 }  // namespace
 
 NetworkResults run_network_reference(const NetworkConfig& cfg) {
-  detail::validate(cfg);
+  check(cfg);
   const Topology topo(cfg.topology, cfg.k, cfg.stages);
   const std::uint32_t ports = topo.ports();
-  detail::validate_hotspot_target(cfg, ports);
   const unsigned n = cfg.stages;
 
   // Injections evaluate the scalar oracle port by port — the very

@@ -9,7 +9,7 @@ Topology::Topology(TopologyKind kind, unsigned k, unsigned stages)
   pow_.resize(n_ + 1);
   pow_[0] = 1;
   for (unsigned i = 1; i <= n_; ++i) {
-    if (pow_[i - 1] > (1u << 24) / k_)
+    if (pow_[i - 1] > kMaxPorts / k_)
       throw std::invalid_argument(
           "Topology: network too large (k^stages > 2^24 ports)");
     pow_[i] = pow_[i - 1] * k_;

@@ -22,6 +22,10 @@ namespace ksw::sim {
 
 enum class TopologyKind { kButterfly, kOmega };
 
+/// Largest network a Topology (and sim::check) accepts: k^stages <= 2^24
+/// ports.
+inline constexpr std::uint64_t kMaxPorts = std::uint64_t{1} << 24;
+
 /// Address arithmetic for an n-stage delta network of k x k switches.
 /// Queues are numbered 0..k^n-1 within each stage.
 class Topology {

@@ -55,6 +55,16 @@ void check_keys(const io::Json& obj,
   }
 }
 
+/// A manifest integer that must fit 32 bits and be at least `min`; a value
+/// outside that range fails naming `key`, before any narrowing.
+unsigned as_u32(const io::Json& value, const std::string& where,
+                const std::string& key, unsigned min) {
+  const std::int64_t v = value.as_int();
+  if (v < min) fail(where, key + " must be >= " + std::to_string(min));
+  if (v > 0xffffffffll) fail(where, key + " must be <= 4294967295");
+  return static_cast<unsigned>(v);
+}
+
 SectionKind parse_kind(const std::string& text, const std::string& where) {
   if (text == "first_stage") return SectionKind::kFirstStage;
   if (text == "stage_convergence") return SectionKind::kStageConvergence;
@@ -68,11 +78,9 @@ SectionKind parse_kind(const std::string& text, const std::string& where) {
 /// Merge budget/tolerance keys present in `obj` onto `budget`/`tol`.
 void apply_settings(const io::Json& obj, const std::string& where,
                     RunBudget* budget, Tolerance* tol) {
-  if (obj.contains("replicates")) {
-    const std::int64_t r = obj.at("replicates").as_int();
-    if (r < 2) fail(where, "replicates must be >= 2 (CI needs spread)");
-    budget->replicates = static_cast<unsigned>(r);
-  }
+  // Two replicates at least: the CI needs spread.
+  if (obj.contains("replicates"))
+    budget->replicates = as_u32(obj.at("replicates"), where, "replicates", 2);
   if (obj.contains("measure_cycles")) {
     const std::int64_t c = obj.at("measure_cycles").as_int();
     if (c <= 0) fail(where, "measure_cycles must be positive");
@@ -113,21 +121,16 @@ constexpr std::initializer_list<const char*> kSettingKeys = {
 /// the numeric keys and a string for "service".
 void apply_param(Point* point, const std::string& key, const io::Json& value,
                  const std::string& where) {
-  const auto as_count = [&](const char* what) {
-    const std::int64_t v = value.as_int();
-    if (v < 1) fail(where, std::string(what) + " must be >= 1");
-    return static_cast<unsigned>(v);
-  };
   if (key == "k") {
-    point->k = as_count("k");
+    point->k = as_u32(value, where, key, 1);
   } else if (key == "s") {
-    point->s = as_count("s");
+    point->s = as_u32(value, where, key, 1);
   } else if (key == "p") {
     point->p = value.as_double();
     if (!(point->p > 0.0 && point->p <= 1.0))
       fail(where, "p must be in (0,1]");
   } else if (key == "bulk") {
-    point->bulk = as_count("bulk");
+    point->bulk = as_u32(value, where, key, 1);
   } else if (key == "q") {
     point->q = value.as_double();
     if (!(point->q >= 0.0 && point->q < 1.0))
@@ -137,9 +140,7 @@ void apply_param(Point* point, const std::string& key, const io::Json& value,
     if (!(point->hotspot >= 0.0 && point->hotspot < 1.0))
       fail(where, "hotspot must be in [0,1)");
   } else if (key == "hotspot_target") {
-    const std::int64_t v = value.as_int();
-    if (v < 0) fail(where, "hotspot_target must be >= 0");
-    point->hotspot_target = static_cast<std::uint32_t>(v);
+    point->hotspot_target = as_u32(value, where, key, 0);
   } else if (key == "service") {
     point->service = value.as_string();
     try {
@@ -236,25 +237,16 @@ Section parse_section(const io::Json& doc, const Manifest& manifest,
   section.tol = manifest.default_tol;
   apply_settings(doc, where, &section.budget, &section.tol);
 
-  if (doc.contains("stages")) {
-    const std::int64_t n = doc.at("stages").as_int();
-    if (n < 1) fail(where, "stages must be >= 1");
-    section.stages = static_cast<unsigned>(n);
-  }
+  if (doc.contains("stages"))
+    section.stages = as_u32(doc.at("stages"), where, "stages", 1);
+  // Checkpoint values are range-checked by sim::check on the points.
   if (doc.contains("checkpoints")) {
     const io::Json& cps = doc.at("checkpoints");
     if (!cps.is_array() || cps.size() == 0)
       fail(where, "checkpoints must be a non-empty array");
-    for (std::size_t i = 0; i < cps.size(); ++i) {
-      const std::int64_t c = cps.at(i).as_int();
-      if (c < 1) fail(where, "checkpoints must be >= 1");
-      if (!section.checkpoints.empty() &&
-          static_cast<unsigned>(c) <= section.checkpoints.back())
-        fail(where, "checkpoints must be strictly increasing");
-      section.checkpoints.push_back(static_cast<unsigned>(c));
-    }
-    if (section.checkpoints.back() > section.stages)
-      fail(where, "checkpoint beyond the last stage");
+    for (std::size_t i = 0; i < cps.size(); ++i)
+      section.checkpoints.push_back(
+          as_u32(cps.at(i), where, "checkpoints", 0));
   }
 
   if (doc.contains("depths")) {
@@ -262,36 +254,37 @@ Section parse_section(const io::Json& doc, const Manifest& manifest,
     if (!ds.is_array() || ds.size() == 0)
       fail(where, "depths must be a non-empty array");
     for (std::size_t i = 0; i < ds.size(); ++i) {
-      const std::int64_t d = ds.at(i).as_int();
-      if (d < 1) fail(where, "depths must be >= 1");
-      if (!section.depths.empty() &&
-          static_cast<unsigned>(d) <= section.depths.back())
+      const unsigned d = as_u32(ds.at(i), where, "depths", 1);
+      if (!section.depths.empty() && d <= section.depths.back())
         fail(where, "depths must be strictly increasing");
-      section.depths.push_back(static_cast<unsigned>(d));
+      section.depths.push_back(d);
     }
   }
   if (doc.contains("flow")) {
-    section.flow = doc.at("flow").as_string();
-    if (section.flow != "vct" && section.flow != "saf" &&
-        section.flow != "credit")
+    try {
+      section.flow = sim::parse_flow_control(doc.at("flow").as_string());
+    } catch (const std::invalid_argument&) {
       fail(where, "flow must be vct, saf, or credit");
+    }
   }
   if (doc.contains("credit_latency")) {
-    const std::int64_t lat = doc.at("credit_latency").as_int();
-    if (lat < 1) fail(where, "credit_latency must be >= 1");
-    section.credit_latency = static_cast<unsigned>(lat);
-    if (section.flow != "credit")
+    section.credit_latency =
+        as_u32(doc.at("credit_latency"), where, "credit_latency", 0);
+    if (section.flow != sim::FlowControl::kCredit)
       fail(where, "credit_latency is only meaningful with flow=credit");
   }
   if (section.kind == SectionKind::kFiniteBuffer) {
     if (section.depths.empty())
       fail(where, "finite_buffer sections require \"depths\"");
-    if (!section.checkpoints.empty())
-      fail(where, "finite_buffer sections take no \"checkpoints\"");
   } else if (!section.depths.empty() || doc.contains("flow") ||
              doc.contains("credit_latency")) {
     fail(where,
          "depths/flow/credit_latency only apply to finite_buffer sections");
+  }
+  if (section.kind == SectionKind::kTotalDelay) {
+    if (section.checkpoints.empty()) section.checkpoints = {section.stages};
+  } else if (!section.checkpoints.empty()) {
+    fail(where, "checkpoints only apply to total_delay sections");
   }
 
   if (!doc.contains("grid")) fail(where, "missing \"grid\"");
@@ -308,27 +301,47 @@ Section parse_section(const io::Json& doc, const Manifest& manifest,
     if (pt.hotspot > 0.0 && section.kind != SectionKind::kFiniteBuffer)
       fail(where, "hotspot traffic is only supported in finite_buffer "
                   "sections (point " + pt.label() + ")");
-    if (network) {
-      // hotspot_target names a destination port; the grid knows k and the
-      // section knows stages, so the range check runs at parse time on
-      // every point — even those with hotspot == 0.
-      std::uint64_t ports = 1;
-      for (unsigned i = 0; i < section.stages && ports <= 0xffffffffull; ++i)
-        ports *= pt.k;
-      if (pt.hotspot_target >= ports)
-        fail(where, "hotspot_target must name a port < k^stages (point " +
-                        pt.label() + ")");
-    } else if (pt.hotspot_target != 0) {
+    if (!network && pt.hotspot_target != 0)
       fail(where, "hotspot_target only applies to network sections (point " +
                       pt.label() + ")");
+    // Every config the runner will simulate: the infinite-queue run, then
+    // each finite depth.
+    for (std::size_t d = 0; network && d <= section.depths.size(); ++d) {
+      try {
+        sim::check(
+            network_config(section, pt, d == 0 ? 0 : section.depths[d - 1]));
+      } catch (const sim::ConfigError& e) {
+        fail(where, std::string(e.what()) + " (point " + pt.label() + ")");
+      }
     }
   }
-  if (section.kind == SectionKind::kTotalDelay && section.checkpoints.empty())
-    section.checkpoints = {section.stages};
   return section;
 }
 
 }  // namespace
+
+sim::NetworkConfig network_config(const Section& section, const Point& pt,
+                                  unsigned depth) {
+  sim::NetworkConfig cfg;
+  cfg.k = pt.k;
+  cfg.stages = section.stages;
+  cfg.p = pt.p;
+  cfg.bulk = pt.bulk;
+  cfg.q = pt.q;
+  cfg.hotspot = pt.hotspot;
+  cfg.hotspot_target = pt.hotspot_target;
+  cfg.service = sim::ServiceSpec::parse(pt.service);
+  cfg.warmup_cycles = section.budget.effective_warmup();
+  cfg.measure_cycles = section.budget.measure_cycles;
+  if (section.kind == SectionKind::kTotalDelay)
+    cfg.total_checkpoints = section.checkpoints;
+  if (depth > 0) {
+    cfg.buffer_capacity = depth;
+    cfg.flow = section.flow;
+    cfg.credit_latency = section.credit_latency;
+  }
+  return cfg;
+}
 
 Manifest parse_manifest(const io::Json& doc) {
   if (!doc.is_object()) fail("document", "must be a JSON object");

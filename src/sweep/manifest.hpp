@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "io/json.hpp"
+#include "sim/network.hpp"
 
 namespace ksw::sweep {
 
@@ -78,7 +79,7 @@ struct Point {
   double q = 0.0;
   /// Hot-spot traffic (finite_buffer sections only — the other kinds gate
   /// against analytic models that assume uniform/favorite traffic). The
-  /// target port is range-checked at parse time against k^stages.
+  /// target port is range-checked at parse time by sim::check.
   double hotspot = 0.0;
   std::uint32_t hotspot_target = 0;
   std::string service = "det:1";
@@ -98,10 +99,10 @@ struct Section {
   unsigned stages = 8;                ///< network sections
   std::vector<unsigned> checkpoints;  ///< total-delay sections (ascending)
   /// finite_buffer sections: ascending buffer-depth grid (required), the
-  /// flow-control scheme ("vct"|"saf"|"credit"), and the credit return
-  /// latency (credit scheme only).
+  /// flow-control scheme ("vct"|"saf"|"credit" in the manifest), and the
+  /// credit return latency (credit scheme only).
   std::vector<unsigned> depths;
-  std::string flow = "vct";
+  sim::FlowControl flow = sim::FlowControl::kCutThrough;
   unsigned credit_latency = 2;
   RunBudget budget;
   Tolerance tol;
@@ -117,6 +118,14 @@ struct Manifest {
   Tolerance default_tol;
   std::vector<Section> sections;
 };
+
+/// The simulator config of a network section's point at one buffer depth
+/// (0 = infinite queues, the finite_buffer oracle). The parser checks
+/// every point at every depth with sim::check; the runner runs exactly
+/// these configs, so the two cannot disagree.
+[[nodiscard]] sim::NetworkConfig network_config(const Section& section,
+                                                const Point& pt,
+                                                unsigned depth = 0);
 
 /// Parse a manifest document. Throws ksw::Error(kUsage) with a
 /// descriptive message on any schema violation.

@@ -88,16 +88,6 @@ core::QueueSpec analytic_queue(const Point& pt) {
   return core::QueueSpec{std::move(arrivals), service.to_model()};
 }
 
-core::NetworkTrafficSpec analytic_traffic(const Point& pt) {
-  core::NetworkTrafficSpec spec;
-  spec.k = pt.k;
-  spec.p = pt.p;
-  spec.bulk = pt.bulk;
-  spec.q = pt.q;
-  spec.service = sim::ServiceSpec::parse(pt.service).to_model();
-  return spec;
-}
-
 /// CI half-width over per-replicate scalar statistics.
 double half_width(const std::vector<double>& samples, double level) {
   return stats::replicate_interval(samples, level).half_width;
@@ -207,25 +197,6 @@ struct NetworkRun {
   std::vector<sim::NetworkResults> parts;
 };
 
-/// Base NetworkConfig for a grid point; section-kind specifics (buffer
-/// depth, flow scheme, checkpoints) are layered on by the caller.
-sim::NetworkConfig network_config(const Section& section, const Point& pt) {
-  sim::NetworkConfig cfg;
-  cfg.k = pt.k;
-  cfg.stages = section.stages;
-  cfg.p = pt.p;
-  cfg.bulk = pt.bulk;
-  cfg.q = pt.q;
-  cfg.hotspot = pt.hotspot;
-  cfg.hotspot_target = pt.hotspot_target;
-  cfg.service = sim::ServiceSpec::parse(pt.service);
-  cfg.warmup_cycles = section.budget.effective_warmup();
-  cfg.measure_cycles = section.budget.measure_cycles;
-  if (section.kind == SectionKind::kTotalDelay)
-    cfg.total_checkpoints = section.checkpoints;
-  return cfg;
-}
-
 NetworkRun run_network_replicates(const sim::NetworkConfig& cfg,
                                   const RunBudget& budget,
                                   par::ThreadPool& pool, const PointCtx& ctx,
@@ -262,10 +233,10 @@ PointResult run_stage_convergence_point(const Section& section,
                                         const Point& pt,
                                         par::ThreadPool& pool,
                                         const PointCtx& ctx) {
-  const NetworkRun run = run_network_replicates(network_config(section, pt),
-                                                section.budget, pool, ctx,
-                                                "net");
-  const core::LaterStages ls(analytic_traffic(pt));
+  const sim::NetworkConfig cfg = network_config(section, pt);
+  const NetworkRun run =
+      run_network_replicates(cfg, section.budget, pool, ctx, "net");
+  const core::LaterStages ls(sim::traffic_spec(cfg));
   const double level = section.budget.ci_level;
 
   PointResult result;
@@ -293,10 +264,10 @@ PointResult run_stage_convergence_point(const Section& section,
 PointResult run_total_delay_point(const Section& section, const Point& pt,
                                   par::ThreadPool& pool,
                                   const PointCtx& ctx) {
-  const NetworkRun run = run_network_replicates(network_config(section, pt),
-                                                section.budget, pool, ctx,
-                                                "net");
-  const core::LaterStages ls(analytic_traffic(pt));
+  const sim::NetworkConfig cfg = network_config(section, pt);
+  const NetworkRun run =
+      run_network_replicates(cfg, section.budget, pool, ctx, "net");
+  const core::LaterStages ls(sim::traffic_spec(cfg));
   const double level = section.budget.ci_level;
 
   PointResult result;
@@ -382,9 +353,9 @@ PointResult run_total_delay_point(const Section& section, const Point& pt,
 PointResult run_finite_buffer_point(const Section& section, const Point& pt,
                                     par::ThreadPool& pool,
                                     const PointCtx& ctx) {
-  const sim::NetworkConfig base = network_config(section, pt);
+  const sim::NetworkConfig cfg = network_config(section, pt);
   const NetworkRun oracle =
-      run_network_replicates(base, section.budget, pool, ctx, "oracle");
+      run_network_replicates(cfg, section.budget, pool, ctx, "oracle");
   const double level = section.budget.ci_level;
   const unsigned last = section.stages - 1;
 
@@ -395,7 +366,7 @@ PointResult run_finite_buffer_point(const Section& section, const Point& pt,
   std::vector<double> samples(oracle.parts.size());
 
   if (pt.hotspot == 0.0) {
-    const core::LaterStages ls(analytic_traffic(pt));
+    const core::LaterStages ls(sim::traffic_spec(cfg));
     for (std::size_t i = 0; i < oracle.parts.size(); ++i)
       samples[i] = oracle.parts[i].stage_wait[last].mean();
     result.cells.push_back(make_cell(
@@ -406,13 +377,10 @@ PointResult run_finite_buffer_point(const Section& section, const Point& pt,
 
   for (std::size_t d = 0; d < section.depths.size(); ++d) {
     const unsigned depth = section.depths[d];
-    sim::NetworkConfig cfg = base;
-    cfg.buffer_capacity = depth;
-    cfg.flow = sim::parse_flow_control(section.flow);
-    if (cfg.flow == sim::FlowControl::kCredit)
-      cfg.credit_latency = section.credit_latency;
-    const NetworkRun run = run_network_replicates(
-        cfg, section.budget, pool, ctx, "depth=" + std::to_string(depth));
+    const NetworkRun run =
+        run_network_replicates(network_config(section, pt, depth),
+                               section.budget, pool, ctx,
+                               "depth=" + std::to_string(depth));
     const bool gate = d + 1 == section.depths.size();
     const std::string prefix = "depth=" + std::to_string(depth) + " ";
 

@@ -312,6 +312,41 @@ TEST(Simulate, FlowControlOptions) {
   const auto zero = invoke({"simulate", "--stages=3", "--buffer-capacity=2",
                             "--flow=credit", "--credit-latency=0"});
   EXPECT_EQ(zero.code, 2);
+  // 2^32 - 1 used to wrap the credit ring to zero buckets: SIGFPE.
+  for (const char* latency : {"--credit-latency=1025",
+                              "--credit-latency=4294967295"}) {
+    const auto big = invoke({"simulate", "--stages=2", "--cycles=200",
+                             "--buffer-capacity=2", "--flow=credit",
+                             latency});
+    EXPECT_EQ(big.code, 2) << latency;
+    EXPECT_NE(big.err.find("--credit-latency"), std::string::npos) << big.err;
+  }
+}
+
+TEST(Simulate, RejectsEveryOutOfRangeConfigNamingItsOption) {
+  // The rows of ConfigCheck.NamesTheFieldOfEveryOutOfRangeConfig that
+  // simulate's flags can spell; each is a usage error naming the flag.
+  const std::vector<std::pair<std::vector<std::string>, const char*>> rows = {
+      {{"--k=1"}, "--k:"},
+      {{"--stages=0"}, "--stages:"},
+      {{"--k=4", "--stages=13"}, "--stages:"},
+      {{"--stages=3", "--hotspot-target=8"}, "--hotspot-target:"},
+      {{"--flow=saf"}, "--buffer-capacity:"},
+      {{"--flow=credit"}, "--buffer-capacity:"},
+      {{"--buffer-capacity=2", "--flow=credit", "--credit-latency=0"},
+       "--credit-latency:"},
+      {{"--checkpoints=0"}, "--checkpoints:"},
+      {{"--checkpoints=3,3"}, "--checkpoints:"},
+      {{"--stages=3", "--checkpoints=4"}, "--checkpoints:"},
+      {{"--stages=17", "--correlations"}, "--correlations:"},
+  };
+  for (const auto& [flags, option] : rows) {
+    std::vector<std::string> args = {"simulate", "--cycles=200"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const auto r = invoke(args);
+    EXPECT_EQ(r.code, 2) << flags.front();
+    EXPECT_NE(r.err.find(option), std::string::npos) << r.err;
+  }
 }
 
 TEST(Simulate, OmegaTopologySelectable) {
@@ -516,6 +551,19 @@ TEST(Reproduce, UnknownSectionIdFails) {
                          "--section=nope", "--list"});
   EXPECT_EQ(r.code, 2);  // usage error
   EXPECT_NE(r.err.find("nope"), std::string::npos);
+}
+
+TEST(Calibrate, OutOfRangeOptionsAreUsageErrors) {
+  // The same domain check as simulate, before any simulation runs.
+  const auto k = invoke({"calibrate", "--k=1"});
+  EXPECT_EQ(k.code, 2);
+  EXPECT_NE(k.err.find("--k:"), std::string::npos) << k.err;
+  const auto cycles = invoke({"calibrate", "--cycles=-5"});
+  EXPECT_EQ(cycles.code, 2);
+  EXPECT_NE(cycles.err.find("--cycles:"), std::string::npos) << cycles.err;
+  const auto rho = invoke({"calibrate", "--rho=1.5"});
+  EXPECT_EQ(rho.code, 2);
+  EXPECT_NE(rho.err.find("--rho:"), std::string::npos) << rho.err;
 }
 
 TEST(Calibrate, RecoversPaperConstantsApproximately) {

@@ -189,7 +189,7 @@ TEST(QueryParse, FiniteBufferDefaultsAndDomain) {
   EXPECT_EQ(req.query.kernel, Kernel::kFiniteBuffer);
   EXPECT_EQ(req.query.stages, 3u);
   EXPECT_EQ(req.query.depth, 4u);
-  EXPECT_EQ(req.query.flow, "vct");
+  EXPECT_EQ(req.query.flow, sim::FlowControl::kCutThrough);
   EXPECT_EQ(req.query.replicates, 1u);
   // Domain errors are usage, not internal.
   EXPECT_EQ(Request::parse(
@@ -204,6 +204,23 @@ TEST(QueryParse, FiniteBufferDefaultsAndDomain) {
                 R"({"kernel":"finite_buffer","params":{"flow":"wormhole"}})")
                 .error_kind,
             wire::kUsage);
+  // The rows of ConfigCheck.NamesTheFieldOfEveryOutOfRangeConfig a
+  // simulation tuple can spell, each named by its params key; buffer_sweep
+  // checks its infinite baseline too.
+  const std::pair<const char*, const char*> rows[] = {
+      {R"({"kernel":"finite_buffer","params":{"k":1}})", "params.k: "},
+      {R"({"kernel":"buffer_sweep","params":{"k":1,"depths":[2]}})",
+       "params.k: "},
+      {R"({"kernel":"finite_buffer","params":{"stages":0}})",
+       "params.stages: "},
+      {R"({"kernel":"finite_buffer","params":{"cycles":0}})",
+       "params.cycles: "},
+  };
+  for (const auto& [line, prefix] : rows) {
+    const Request bad = Request::parse(line);
+    EXPECT_EQ(bad.error_kind, wire::kUsage) << line;
+    EXPECT_EQ(bad.error_message.rfind(prefix, 0), 0u) << bad.error_message;
+  }
 }
 
 TEST(QueryParse, FiniteBufferEnforcesCostCaps) {
@@ -236,6 +253,13 @@ TEST(QueryParse, CreditLatencyRequiresCreditFlow) {
                            R"("params":{"flow":"credit","credit_latency":0}})")
                 .error_kind,
             wire::kUsage);
+  // sim::check's engine-wide bound, answered in-band.
+  const Request slow = Request::parse(
+      R"({"kernel":"finite_buffer",)"
+      R"("params":{"flow":"credit","credit_latency":1025}})");
+  EXPECT_EQ(slow.error_kind, wire::kUsage);
+  EXPECT_EQ(slow.error_message.rfind("params.credit_latency: ", 0), 0u)
+      << slow.error_message;
   const Request req = Request::parse(
       R"({"kernel":"finite_buffer",)"
       R"("params":{"flow":"credit","credit_latency":3}})");
@@ -315,6 +339,43 @@ TEST(QueryCanonical, DeadlineAndIdAreNotPartOfTheKey) {
       R"({"kernel":"first_stage","id":1,"deadline_ms":100})");
   const Request b = Request::parse(R"({"kernel":"first_stage","id":2})");
   EXPECT_EQ(a.query.canonical(), b.query.canonical());
+}
+
+TEST(QueryCanonical, PinnedBytesPerKernel) {
+  // The canonical string is the cache key, and its FNV shard appears in
+  // access-log rows: these bytes must never move.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"kernel":"first_stage","params":{"k":4,"p":0.3,"distribution":8}})",
+       R"({"kernel":"first_stage","params":{"bulk":1,"distribution":8,"k":4,)"
+       R"("p":0x1.3333333333333p-2,"q":0x0p+0,"s":4,"service":"det:1"}})"},
+      {R"({"kernel":"later_stages","params":{"p":0.6,"stage":3}})",
+       R"({"kernel":"later_stages","params":{"bulk":1,"k":2,)"
+       R"("p":0x1.3333333333333p-1,"q":0x0p+0,"service":"det:1","stage":3}})"},
+      {R"({"kernel":"closed_form","params":{"family":"geometric","mu":0.25}})",
+       R"({"kernel":"closed_form","params":{"b":1,"family":"geometric","k":2,)"
+       R"("m":1,"mu":0x1p-2,"p":0x1p-1,"q":0x0p+0,"s":2}})"},
+      {R"({"kernel":"total_delay","params":{"stages":6,"quantiles":[0.9]}})",
+       R"({"kernel":"total_delay","params":{"bulk":1,"k":2,"p":0x1p-1,)"
+       R"("q":0x0p+0,"quantiles":[0x1.ccccccccccccdp-1],"service":"det:1",)"
+       R"("stages":6}})"},
+      {R"({"kernel":"finite_buffer","params":{"flow":"credit",)"
+       R"("credit_latency":5,"depth":3,"p":0.7}})",
+       R"({"kernel":"finite_buffer","params":{"bulk":1,"credit_latency":5,)"
+       R"("cycles":20000,"depth":3,"flow":"credit","k":2,)"
+       R"("p":0x1.6666666666666p-1,"q":0x0p+0,"replicates":1,"seed":1,)"
+       R"("service":"det:1","stages":3,"warmup":2000}})"},
+      {R"({"kernel":"buffer_sweep","params":{"flow":"credit",)"
+       R"("depths":[1,4],"service":"det:2","p":0.2}})",
+       R"({"kernel":"buffer_sweep","params":{"bulk":1,"credit_latency":2,)"
+       R"("cycles":20000,"depths":[1,4],"flow":"credit","k":2,)"
+       R"("p":0x1.999999999999ap-3,"q":0x0p+0,"replicates":1,"seed":1,)"
+       R"("service":"det:2","stages":3,"warmup":2000}})"},
+  };
+  for (const auto& [line, want] : cases) {
+    const Request req = Request::parse(line);
+    ASSERT_TRUE(req.valid()) << line << ": " << req.error_message;
+    EXPECT_EQ(req.query.canonical(), want) << line;
+  }
 }
 
 TEST(Fnv1a, KnownVectors) {

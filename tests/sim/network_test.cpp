@@ -276,6 +276,83 @@ TEST(NetworkSim, ValidatesConfig) {
   EXPECT_THROW(run_network(cfg), std::invalid_argument);
 }
 
+TEST(ConfigCheck, NamesTheFieldOfEveryOutOfRangeConfig) {
+  // One row per domain rule; the CLI, manifest and serve tests reject the
+  // rows their syntax can express.
+  struct Row {
+    const char* field;
+    void (*mutate)(NetworkConfig&);
+  };
+  const Row rows[] = {
+      {"k", [](NetworkConfig& c) { c.k = 1; }},
+      {"stages", [](NetworkConfig& c) { c.stages = 0; }},
+      {"stages", [](NetworkConfig& c) { c.k = 4; c.stages = 13; }},  // 2^26
+      {"hotspot_target",
+       [](NetworkConfig& c) { c.stages = 3; c.hotspot_target = 8; }},
+      {"buffer_capacity",
+       [](NetworkConfig& c) { c.flow = FlowControl::kStoreAndForward; }},
+      {"buffer_capacity",
+       [](NetworkConfig& c) { c.flow = FlowControl::kCredit; }},
+      {"credit_latency",
+       [](NetworkConfig& c) {
+         c.buffer_capacity = 2; c.flow = FlowControl::kCredit;
+         c.credit_latency = 0;
+       }},
+      {"credit_latency",
+       [](NetworkConfig& c) {
+         c.buffer_capacity = 2; c.flow = FlowControl::kCredit;
+         c.credit_latency = kMaxCreditLatency + 1;
+       }},
+      {"total_checkpoints",
+       [](NetworkConfig& c) { c.total_checkpoints = {0}; }},
+      {"total_checkpoints",
+       [](NetworkConfig& c) { c.total_checkpoints = {3, 3}; }},
+      {"total_checkpoints",
+       [](NetworkConfig& c) { c.total_checkpoints = {c.stages + 1}; }},
+      {"track_correlations",
+       [](NetworkConfig& c) {
+         c.stages = kMaxTrackedStages + 1; c.track_correlations = true;
+       }},
+  };
+  for (const Row& row : rows) {
+    NetworkConfig cfg;
+    row.mutate(cfg);
+    try {
+      check(cfg);
+      ADD_FAILURE() << row.field << ": accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.field, row.field) << e.what();
+    }
+  }
+  NetworkConfig edge;
+  edge.buffer_capacity = 2;
+  edge.flow = FlowControl::kCredit;
+  edge.credit_latency = kMaxCreditLatency;
+  edge.total_checkpoints = {1, edge.stages};
+  edge.hotspot_target = 255;  // 2^8 - 1, the last port
+  EXPECT_NO_THROW(check(edge));
+}
+
+TEST(ConfigCheck, EnginesRejectAWrappedCreditLatency) {
+  // latency + 1 used to wrap the credit ring to 0 buckets and the first
+  // service start divided by zero.
+  NetworkConfig cfg = small_config();
+  cfg.buffer_capacity = 2;
+  cfg.flow = FlowControl::kCredit;
+  cfg.credit_latency = 0xffffffffu;
+  EXPECT_THROW((void)run_network(cfg), ConfigError);
+  EXPECT_THROW((void)run_network_reference(cfg), ConfigError);
+}
+
+TEST(ConfigCheck, PortCountSaturatesInsteadOfOverflowing) {
+  EXPECT_EQ(port_count(2, 8), 256u);
+  EXPECT_EQ(port_count(4, 12), kMaxPorts);
+  EXPECT_GT(port_count(4, 13), kMaxPorts);
+  EXPECT_GT(port_count(0xffffffffu, 0xffffffffu), kMaxPorts);
+  EXPECT_EQ(port_count(1, 0xffffffffu), 1u);
+  EXPECT_EQ(port_count(7, 0), 1u);
+}
+
 TEST(NetworkSim, CorrelationLimitMessageTracksConstant) {
   // Regression: the error text used to hardcode "16 stages"; it must stay
   // in sync with kMaxTrackedStages.

@@ -181,7 +181,14 @@ TEST(Manifest, RejectsBadCheckpoints) {
   EXPECT_THROW(parse(with("[3,3]")), ksw::Error);
   EXPECT_THROW(parse(with("[6,3]")), ksw::Error);
   EXPECT_THROW(parse(with("[3,9]")), ksw::Error);
+  EXPECT_THROW(parse(with("[0,3]")), ksw::Error);
   EXPECT_NO_THROW(parse(with("[3,6]")));
+  // Only total_delay sections record totals.
+  EXPECT_THROW(parse(doc(
+                   R"({"id":"g","title":"G","kind":"stage_convergence",
+                       "stages":6,"checkpoints":[3],
+                       "grid":{"axes":{"p":[0.2]}}})")),
+               ksw::Error);
 }
 
 TEST(Manifest, TotalDelayDefaultsCheckpointToFinalStage) {
@@ -220,7 +227,7 @@ TEST(Manifest, FiniteBufferSectionParses) {
   const Section& s = m.sections[0];
   EXPECT_EQ(s.kind, SectionKind::kFiniteBuffer);
   EXPECT_EQ(s.depths, (std::vector<unsigned>{1, 4, 32}));
-  EXPECT_EQ(s.flow, "credit");
+  EXPECT_EQ(s.flow, sim::FlowControl::kCredit);
   EXPECT_EQ(s.credit_latency, 3u);
 }
 
@@ -270,6 +277,78 @@ TEST(Manifest, FiniteBufferFlowVocabulary) {
                        "credit_latency":0,
                        "grid":{"points":[{"p":0.7}]}})")),
                ksw::Error);
+  // The engine's bound: a latency of 2^32 - 1 used to crash the run.
+  for (const char* latency : {"1025", "4294967295"}) {
+    std::string section =
+        R"({"id":"fb","title":"F","kind":"finite_buffer","stages":3,
+            "depths":[2],"flow":"credit","credit_latency":%s,
+            "grid":{"points":[{"p":0.7}]}})";
+    section.replace(section.find("%s"), 2, latency);
+    try {
+      (void)parse(doc(section));
+      ADD_FAILURE() << latency << ": accepted";
+    } catch (const ksw::Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kUsage);
+      EXPECT_NE(std::string(e.what()).find("credit_latency"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Manifest, NetworkPointsPassTheEngineCheck) {
+  // Rows of ConfigCheck.NamesTheFieldOfEveryOutOfRangeConfig a manifest
+  // can spell fail at parse time, naming the point.
+  for (const char* point : {R"({"k":1})", R"({"k":4})"}) {
+    std::string section =
+        R"({"id":"g","title":"G","kind":"stage_convergence","stages":13,
+            "grid":{"points":[%s]}})";
+    section.replace(section.find("%s"), 2, point);
+    EXPECT_THROW(parse(doc(section)), ksw::Error) << point;
+  }
+  EXPECT_NO_THROW(parse(doc(
+      R"({"id":"g","title":"G","kind":"stage_convergence","stages":12,
+          "grid":{"points":[{"k":4}]}})")));
+}
+
+TEST(Manifest, RejectsIntegersBeyond32Bits) {
+  // 2^32 + 2 used to narrow silently to 2.
+  const std::string big = "4294967298";
+  const auto point_section = [&](const std::string& key) {
+    return R"({"id":"fb","title":"F","kind":"finite_buffer","stages":3,
+               "depths":[2],"grid":{"points":[{"p":0.5,")" +
+           key + "\":" + big + "}]}}";
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"k", point_section("k")},
+      {"s", point_section("s")},
+      {"bulk", point_section("bulk")},
+      {"hotspot_target", point_section("hotspot_target")},
+      {"stages", R"({"id":"g","title":"G","kind":"stage_convergence",
+                     "stages":)" + big + R"(,"grid":{"points":[{}]}})"},
+      {"checkpoints", R"({"id":"g","title":"G","kind":"total_delay",
+                          "stages":3,"checkpoints":[)" + big +
+                          R"(],"grid":{"points":[{}]}})"},
+      {"depths", R"({"id":"fb","title":"F","kind":"finite_buffer",
+                     "stages":3,"depths":[)" + big +
+                     R"(],"grid":{"points":[{}]}})"},
+      {"credit_latency",
+       R"({"id":"fb","title":"F","kind":"finite_buffer","stages":3,
+           "depths":[2],"flow":"credit","credit_latency":)" + big +
+           R"(,"grid":{"points":[{}]}})"},
+      {"replicates", section(R"(,"replicates":)" + big)},
+  };
+  for (const auto& [key, body] : cases) {
+    try {
+      (void)parse(doc(body));
+      ADD_FAILURE() << key << ": accepted";
+    } catch (const ksw::Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kUsage) << key;
+      EXPECT_NE(std::string(e.what()).find(key + " must be <= 4294967295"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Manifest, HotspotPointsOnlyInFiniteBufferSections) {
